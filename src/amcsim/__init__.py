@@ -13,10 +13,8 @@ from .error_bounds import (
 from .estimators import (
     EstimatorConfig,
     MatrixEstimate,
-    get_estimator,
     lambda_for,
     soft_impute_fit,
-    sqrt_lasso_objective,
     svt,
 )
 from .harness import (
@@ -40,7 +38,6 @@ from .problem import (
     GroundTruth,
     MatrixSpec,
     NoiseModel,
-    Observation,
     generate_ground_truth,
     named_stream,
     new_samples,

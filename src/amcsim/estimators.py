@@ -2,9 +2,9 @@
 
 The fitted estimator is SoftImpute: alternate filling unobserved entries
 from the current iterate with soft-thresholding the singular values of
-the filled matrix. The square-root lasso objective is kept as an
-evaluable diagnostic; its regularization schedule sets the SoftImpute
-threshold, so the sqrt(ln d / (d T)) dependence carries over.
+the filled matrix. The threshold follows the square-root lasso
+regularization schedule, so its sqrt(ln d / (d T)) dependence on the
+dimension and the training size carries over.
 """
 from __future__ import annotations
 
@@ -13,17 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .error_bounds import SplitMode, split_dataset
 from .problem import Dataset, MatrixSpec
 
 __all__ = [
     "EstimatorConfig",
     "MatrixEstimate",
     "lambda_for",
-    "sqrt_lasso_objective",
     "svt",
     "soft_impute_fit",
-    "get_estimator",
 ]
 
 
@@ -80,15 +77,6 @@ def lambda_for(dim: int, T: int, bound: float, lambda_scale: float) -> float:
     if lambda_scale < 0:
         raise ValueError("lambda_scale must be nonnegative")
     return lambda_scale * bound * math.sqrt(math.log(dim) / (dim * T))
-
-
-def sqrt_lasso_objective(m: np.ndarray, data: Dataset, lam: float) -> float:
-    """Square-root lasso objective: RMS residual plus lam * nuclear norm."""
-    if len(data) == 0:
-        raise ValueError("objective undefined on an empty dataset")
-    residuals = data.values - m[data.rows, data.cols]
-    rms = math.sqrt(float(np.mean(residuals**2)))
-    return rms + lam * float(np.linalg.norm(m, ord="nuc"))
 
 
 def svt(m: np.ndarray, theta: float) -> np.ndarray:
@@ -169,26 +157,3 @@ def soft_impute_fit(
     return MatrixEstimate(
         index=spec.index, values=z, trained_on=len(train), lambda_used=lam
     )
-
-
-def get_estimator(
-    spec: MatrixSpec,
-    data: Dataset,
-    split: SplitMode,
-    cfg: EstimatorConfig,
-    warm: MatrixEstimate | None = None,
-) -> MatrixEstimate:
-    """Fit on the training portion of ``data`` under the given split mode.
-
-    The caller evaluates the complementary portion; with BY_MULTIPLICITY
-    and no repeated entries the eval part is empty and the caller must
-    handle a zero pair count.
-    """
-    if data.index != spec.index:
-        raise ValueError(
-            f"dataset belongs to matrix {data.index}, not {spec.index}"
-        )
-    train, _ = split_dataset(data, split)
-    if len(train) == 0:
-        raise ValueError("training portion is empty")
-    return soft_impute_fit(train, spec, cfg, warm)

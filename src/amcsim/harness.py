@@ -12,7 +12,10 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from types import UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -74,7 +77,7 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "malocate" and self.p is None:
             raise ValueError("malocate requires a loss parameter p")
-        if self.p is not None and self.p < 1:
+        if self.p is not None and not self.p >= 1:  # rejects NaN too
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -89,7 +92,10 @@ class StrategySpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment."""
+    """Everything needed to reproduce one experiment.
+
+    The defaults are the settings the two paper experiments share.
+    """
 
     experiment: str
     dims: tuple[int, ...]
@@ -175,12 +181,7 @@ def preset_experiment_1() -> ExperimentConfig:
         experiment="exp1",
         dims=dims,
         ranks=ranks,
-        sigma=0.1,
-        bound_a=4.0,
         budget=10 * 200 * 200 // 2,
-        schedule=Discretized(init_multiplier=8, num_batches=100, reuse_samples=True),
-        split=SplitMode.BY_MULTIPLICITY,
-        reps=15,
     )
 
 
@@ -197,12 +198,7 @@ def preset_experiment_2() -> ExperimentConfig:
         experiment="exp2",
         dims=dims,
         ranks=ranks,
-        sigma=0.1,
-        bound_a=4.0,
         budget=15 * 200 * 200 // 2,
-        schedule=Discretized(init_multiplier=8, num_batches=100, reuse_samples=True),
-        split=SplitMode.BY_MULTIPLICITY,
-        reps=15,
     )
 
 
@@ -219,22 +215,7 @@ def scaled(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
         min(d, max(1, round(r / factor))) for d, r in zip(dims, cfg.ranks)
     )
     budget = sum(d * d for d in dims) // 2
-    return ExperimentConfig(
-        experiment=cfg.experiment,
-        dims=dims,
-        ranks=ranks,
-        sigma=cfg.sigma,
-        bound_a=cfg.bound_a,
-        budget=budget,
-        strategies=cfg.strategies,
-        schedule=cfg.schedule,
-        split=cfg.split,
-        estimator=cfg.estimator,
-        confidence_scale=cfg.confidence_scale,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        out_dir=cfg.out_dir,
-    )
+    return replace(cfg, dims=dims, ranks=ranks, budget=budget)
 
 
 def _rep_seed(master_seed: int, rep: int) -> int:
@@ -409,24 +390,9 @@ def read_metrics_csv(path: str) -> list[MetricsRow]:
         header = next(reader)
         if header != METRICS_HEADER.split(","):
             raise ValueError(f"unexpected metrics header in {path}")
-        for rec in reader:
-            (exp, strategy, p, rep, seed, t, k, T_k, B_k, err, l1, linf) = rec
-            rows.append(
-                MetricsRow(
-                    experiment=exp,
-                    strategy=strategy,
-                    p=None if p == "" else float(p),
-                    rep=int(rep),
-                    seed=int(seed),
-                    t=int(t),
-                    k=int(k),
-                    T_k=int(T_k),
-                    B_k=float(B_k),
-                    true_err_k=float(err),
-                    loss_p1=float(l1),
-                    loss_pinf=float(linf),
-                )
-            )
+        for exp, strategy, p, *rest in reader:  # rep, seed, t, k, T_k, then 4 floats
+            p = None if p == "" else float(p)
+            rows.append(MetricsRow(exp, strategy, p, *map(int, rest[:5]), *map(float, rest[5:])))
     return rows
 
 
@@ -490,148 +456,85 @@ def write_summary_csv(summary: list[dict], path: str) -> None:
 
 
 # --- config (de)serialization ------------------------------------------------
+# Both directions follow the dataclass fields and their type hints. A member
+# of a union of dataclasses (the schedule) carries its lowercased class name
+# under "kind"; an infinite float is the string "inf".
 
-def _p_to_json(p: float | None):
-    if p is None:
+
+def _members(tp) -> tuple:
+    """The non-None members of a union hint, or ``(tp,)`` for any other hint."""
+    if get_origin(tp) in (Union, UnionType):
+        return tuple(a for a in get_args(tp) if a is not type(None))
+    return (tp,)
+
+
+def _to_json(value, tp):
+    if is_dataclass(value):
+        hints = get_type_hints(type(value))
+        out = {f.name: _to_json(getattr(value, f.name), hints[f.name]) for f in fields(value)}
+        return {"kind": type(value).__name__.lower(), **out} if len(_members(tp)) > 1 else out
+    if isinstance(value, tuple):
+        return [_to_json(v, get_args(_members(tp)[0])[0]) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return "inf" if value == math.inf else value
+
+
+def _from_json(tp, raw, where: str):
+    if raw is None and type(None) in get_args(tp):
         return None
-    return "inf" if math.isinf(p) else p
-
-
-def _p_from_json(v) -> float | None:
-    if v is None:
-        return None
-    if isinstance(v, str):
-        if v != "inf":
-            raise ValueError(f"invalid p value {v!r}")
-        return math.inf
-    return float(v)
+    members = _members(tp)
+    tp = members[0]
+    if len(members) > 1:
+        kinds = {m.__name__.lower(): m for m in members}
+        raw = dict(raw) if isinstance(raw, dict) else {}
+        tp = kinds.get(str(raw.pop("kind", None)))
+        if tp is None:
+            raise ValueError(f"{where}: kind must be one of {sorted(kinds)}")
+    if is_dataclass(tp):
+        if not isinstance(raw, dict):
+            raise ValueError(f"{where} must be an object, got {raw!r}")
+        unknown = sorted(set(raw) - {f.name for f in fields(tp)})
+        if unknown:
+            raise ValueError(f"unknown keys in {where}: {unknown}")
+        # A field with neither a default nor a default factory is required.
+        missing = [
+            f.name for f in fields(tp)
+            if f.name not in raw and f.default is f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing keys in {where}: {missing}")
+        hints = get_type_hints(tp)
+        return tp(**{k: _from_json(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
+    if get_origin(tp) is tuple:
+        if not isinstance(raw, list):
+            raise ValueError(f"{where} must be a list, got {raw!r}")
+        return tuple(_from_json(get_args(tp)[0], v, where) for v in raw)
+    if tp is bool and not isinstance(raw, bool):
+        raise ValueError(f"{where} must be true or false, got {raw!r}")
+    try:
+        return tp(raw)
+    except TypeError:
+        raise ValueError(f"{where}: expected {tp.__name__}, got {raw!r}") from None
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    if isinstance(cfg.schedule, Discretized):
-        schedule = {
-            "kind": "discretized",
-            "init_multiplier": cfg.schedule.init_multiplier,
-            "num_batches": cfg.schedule.num_batches,
-            "reuse_samples": cfg.schedule.reuse_samples,
-        }
-    else:
-        schedule = {"kind": "doubling"}
-    return {
-        "experiment": cfg.experiment,
-        "dims": list(cfg.dims),
-        "ranks": list(cfg.ranks),
-        "sigma": cfg.sigma,
-        "bound_a": cfg.bound_a,
-        "budget": cfg.budget,
-        "strategies": [
-            {
-                "kind": s.kind,
-                "p": _p_to_json(s.p),
-                "weights": None if s.weights is None else list(s.weights),
-            }
-            for s in cfg.strategies
-        ],
-        "schedule": schedule,
-        "split": cfg.split.value,
-        "estimator": {
-            "lambda_scale": cfg.estimator.lambda_scale,
-            "max_iters": cfg.estimator.max_iters,
-            "tol": cfg.estimator.tol,
-            "warm_start": cfg.estimator.warm_start,
-            "clip_output": cfg.estimator.clip_output,
-        },
-        "confidence_scale": cfg.confidence_scale,
-        "reps": cfg.reps,
-        "seed": cfg.seed,
-        "out_dir": cfg.out_dir,
-    }
-
-
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ValueError(f"unknown keys in {where}: {sorted(unknown)}")
+    return _to_json(cfg, ExperimentConfig)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a JSON-style mapping; unknown keys are rejected."""
-    _check_keys(
-        raw,
-        {
-            "experiment", "dims", "ranks", "sigma", "bound_a", "budget",
-            "strategies", "schedule", "split", "estimator",
-            "confidence_scale", "reps", "seed", "out_dir",
-        },
-        "config",
-    )
-    if "dims" not in raw or "ranks" not in raw:
-        raise ValueError("config requires dims and ranks")
-    kwargs: dict = {
-        "experiment": raw.get("experiment", "custom"),
-        "dims": tuple(raw["dims"]),
-        "ranks": tuple(raw["ranks"]),
-    }
-    K = len(kwargs["dims"])
-    kwargs["budget"] = int(
-        raw.get("budget", sum(d * d for d in kwargs["dims"]) // 2)
-    )
-    for key in ("sigma", "bound_a", "confidence_scale"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    for key in ("reps", "seed"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    if "out_dir" in raw and raw["out_dir"] is not None:
-        kwargs["out_dir"] = str(raw["out_dir"])
-    if "strategies" in raw:
-        strategies = []
-        for s in raw["strategies"]:
-            _check_keys(s, {"kind", "p", "weights"}, "strategy")
-            strategies.append(
-                StrategySpec(
-                    kind=s["kind"],
-                    p=_p_from_json(s.get("p")),
-                    weights=None if s.get("weights") is None else tuple(s["weights"]),
-                )
-            )
-        kwargs["strategies"] = tuple(strategies)
-    if "schedule" in raw:
-        sched = raw["schedule"]
-        _check_keys(
-            sched,
-            {"kind", "init_multiplier", "num_batches", "reuse_samples"},
-            "schedule",
-        )
-        if sched.get("kind") == "doubling":
-            if len(sched) > 1:
-                raise ValueError("doubling schedule takes no parameters")
-            kwargs["schedule"] = Doubling()
-        elif sched.get("kind") == "discretized":
-            kwargs["schedule"] = Discretized(
-                init_multiplier=int(sched.get("init_multiplier", 8)),
-                num_batches=int(sched.get("num_batches", 100)),
-                reuse_samples=bool(sched.get("reuse_samples", True)),
-            )
-        else:
-            raise ValueError(f"unknown schedule kind {sched.get('kind')!r}")
-    if "split" in raw:
-        kwargs["split"] = SplitMode(raw["split"])
-    if "estimator" in raw:
-        est = raw["estimator"]
-        _check_keys(
-            est,
-            {"lambda_scale", "max_iters", "tol", "warm_start", "clip_output"},
-            "estimator",
-        )
-        kwargs["estimator"] = EstimatorConfig(
-            lambda_scale=float(est.get("lambda_scale", 1.0)),
-            max_iters=int(est.get("max_iters", 300)),
-            tol=float(est.get("tol", 1e-5)),
-            warm_start=bool(est.get("warm_start", True)),
-            clip_output=bool(est.get("clip_output", True)),
-        )
-    return ExperimentConfig(**kwargs)
+    """Build a config from a JSON-style mapping; unknown keys are rejected.
+
+    A missing key takes the dataclass default, except that ``experiment``
+    defaults to "custom" and ``budget`` to K d^2 / 2.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be an object, got {raw!r}")
+    raw = {"experiment": "custom", **raw}
+    if "budget" not in raw:
+        dims = _from_json(tuple[int, ...], raw.get("dims", []), "config.dims")
+        raw["budget"] = sum(d * d for d in dims) // 2
+    return _from_json(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

@@ -7,7 +7,6 @@ additive noise on the entry value.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +15,6 @@ __all__ = [
     "MatrixSpec",
     "GroundTruth",
     "NoiseModel",
-    "Observation",
     "Dataset",
     "named_stream",
     "generate_ground_truth",
@@ -88,19 +86,6 @@ class NoiseModel:
         return cls(kind="none", sigma=0.0)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A single noisy look at entry (row, col) of matrix ``index``.
-
-    Rows and columns are zero-based array coordinates.
-    """
-
-    index: int
-    row: int
-    col: int
-    value: float
-
-
 @dataclass
 class Dataset:
     """Ordered observations of a single matrix, stored as flat arrays.
@@ -123,26 +108,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    @classmethod
-    def from_observations(cls, obs: list[Observation]) -> "Dataset":
-        if not obs:
-            raise ValueError("cannot infer matrix index from an empty list")
-        k = obs[0].index
-        if any(o.index != k for o in obs):
-            raise ValueError("all observations must share one matrix index")
-        return cls(
-            index=k,
-            rows=np.array([o.row for o in obs], dtype=np.int64),
-            cols=np.array([o.col for o in obs], dtype=np.int64),
-            values=np.array([o.value for o in obs], dtype=np.float64),
-        )
-
-    def observations(self) -> list[Observation]:
-        return [
-            Observation(self.index, int(i), int(j), float(y))
-            for i, j, y in zip(self.rows, self.cols, self.values)
-        ]
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Sub-dataset at positions ``idx``, preserving the given order."""

@@ -53,7 +53,7 @@ class LossSpec:
     weights: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.p < 1:
+        if not self.p >= 1:  # rejects NaN too
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
@@ -66,7 +66,20 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class Doubling:
-    """Each selection doubles the chosen matrix's cumulative sample count."""
+    """Each selection doubles the chosen matrix's cumulative sample count.
+
+    A first visit draws ``initial_batch(d)``. There is no initialization
+    pass and every refit uses the fresh batch alone.
+    """
+
+    reuse_samples = False
+    init_pass = False
+
+    def init_size(self, dim: int) -> int:
+        return initial_batch(dim)
+
+    def next_batch(self, t_k: int, free: int) -> int:
+        return t_k
 
 
 @dataclass(frozen=True)
@@ -86,12 +99,19 @@ class Discretized:
     init_multiplier: int = 8
     num_batches: int = 100
     reuse_samples: bool = True
+    init_pass = True
 
     def __post_init__(self):
         if self.init_multiplier < 1:
             raise ValueError("init_multiplier must be >= 1")
         if self.num_batches < 1:
             raise ValueError("num_batches must be >= 1")
+
+    def init_size(self, dim: int) -> int:
+        return self.init_multiplier * dim
+
+    def next_batch(self, t_k: int, free: int) -> int:
+        return max(1, math.ceil(free / self.num_batches))
 
 
 @dataclass
@@ -282,74 +302,48 @@ def _run(
         ),
     )
 
-    if isinstance(schedule, Discretized):
-        init_sizes = [schedule.init_multiplier * s.dim for s in states]
-    else:
-        init_sizes = [initial_batch(s.dim) for s in states]
-    if budget < sum(init_sizes):
-        raise ValueError(
-            f"budget {budget} cannot cover initialization ({sum(init_sizes)})"
-        )
-
+    # Each arm's first batch, clamped to its cap; ``free`` is what the
+    # budget leaves after all of them. An initialization pass visits the
+    # arms in order before the chooser is first asked.
+    init = [min(schedule.init_size(s.dim), s.cap) for s in states]
+    if budget < sum(init):
+        raise ValueError(f"budget {budget} cannot cover initialization ({sum(init)})")
+    free = budget - sum(init)
     spent = 0
-
-    def record(pos: int, batch: int) -> None:
+    init_order = iter(range(K) if schedule.init_pass else ())
+    while spent < budget:
+        pos = next(init_order, None)
+        if pos is None:
+            try:
+                pos = chooser(states)
+            except AllArmsCapped:
+                trace.ended_early = True
+                break
+        state = states[pos]
+        t_k = state.samples_spent
+        desired = schedule.next_batch(t_k, free) if t_k else init[pos]
+        batch = min(desired, budget - spent, state.cap - t_k)
+        fresh = new_samples(state.truth, noise, batch, streams[pos])
+        state.samples_spent += batch
+        spent += batch
+        if schedule.reuse_samples and state.data is not None:
+            state.data = state.data.extend(fresh)
+        else:
+            state.data = fresh
+        _refit(state, state.data, split, cfg, scale)
         errors = _true_errors(states)
-        norm_errors = tuple(e / s.cap for e, s in zip(errors, states))
         trace.events.append(
             TraceEvent(
                 t=spent,
-                chosen=states[pos].truth.spec.index,
+                chosen=state.truth.spec.index,
                 batch=batch,
                 b_values=tuple(s.band for s in states),
                 t_values=tuple(s.samples_spent for s in states),
-                true_errors=norm_errors,
+                true_errors=tuple(e / s.cap for e, s in zip(errors, states)),
                 loss_p1=loss_from_errors(errors, LossSpec(p=1, weights=loss.weights)),
                 loss_pinf=loss_from_errors(errors, LossSpec(p=math.inf, weights=loss.weights)),
             )
         )
-
-    def spend(pos: int, batch: int, reuse: bool) -> None:
-        nonlocal spent
-        state = states[pos]
-        fresh = new_samples(state.truth, noise, batch, streams[pos])
-        state.samples_spent += batch
-        spent += batch
-        if reuse:
-            state.data = fresh if state.data is None else state.data.extend(fresh)
-            fit_data = state.data
-        else:
-            state.data = fresh
-            fit_data = fresh
-        _refit(state, fit_data, split, cfg, scale)
-        record(pos, batch)
-
-    if isinstance(schedule, Discretized):
-        for pos in range(K):
-            size = min(init_sizes[pos], states[pos].cap)
-            spend(pos, size, schedule.reuse_samples)
-        free = budget - spent
-        sub_batch = max(1, math.ceil(free / schedule.num_batches))
-        while spent < budget:
-            try:
-                pos = chooser(states)
-            except AllArmsCapped:
-                trace.ended_early = True
-                break
-            state = states[pos]
-            batch = min(sub_batch, budget - spent, state.cap - state.samples_spent)
-            spend(pos, batch, schedule.reuse_samples)
-    else:
-        while spent < budget:
-            try:
-                pos = chooser(states)
-            except AllArmsCapped:
-                trace.ended_early = True
-                break
-            state = states[pos]
-            desired = max(state.samples_spent, initial_batch(state.dim))
-            batch = min(desired, budget - spent, state.cap - state.samples_spent)
-            spend(pos, batch, reuse=False)
 
     estimates = [
         s.current

@@ -70,6 +70,14 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_rejects_malformed_scalar(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "sigma": "abc"}))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "amcsim: error:" in capsys.readouterr().err
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1

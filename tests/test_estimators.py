@@ -10,12 +10,11 @@ from amcsim import (
     NoiseModel,
     SplitMode,
     generate_ground_truth,
-    get_estimator,
     lambda_for,
     named_stream,
     new_samples,
     soft_impute_fit,
-    sqrt_lasso_objective,
+    split_dataset,
     svt,
 )
 
@@ -53,27 +52,6 @@ class TestLambdaFor:
     def test_rejects_degenerate_dim(self):
         with pytest.raises(ValueError):
             lambda_for(1, 100, 1.0, 1.0)
-
-
-class TestSqrtLassoObjective:
-    def test_perfect_fit_no_penalty(self):
-        m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        data = full_coverage_dataset(m)
-        assert sqrt_lasso_objective(m, data, 0.0) == pytest.approx(0.0)
-
-    def test_single_residual(self):
-        data = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
-        assert sqrt_lasso_objective(np.zeros((2, 2)), data, 0.0) == pytest.approx(1.0)
-
-    def test_nuclear_penalty(self):
-        m = np.zeros((2, 2))
-        m[0, 0] = 1.0
-        data = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
-        assert sqrt_lasso_objective(m, data, 0.5) == pytest.approx(0.5)
-
-    def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
-            sqrt_lasso_objective(np.zeros((2, 2)), Dataset(index=1), 0.0)
 
 
 class TestSvt:
@@ -212,11 +190,14 @@ class TestSoftImpute:
 
 
 class TestGetEstimator:
+    """Fit on the training part of a split, as each refit of a run does."""
+
     def test_halves_trains_on_half(self):
         spec = MatrixSpec(index=1, dim=20, rank_bound=2)
         gt = generate_ground_truth(spec, 19)
         data = new_samples(gt, NoiseModel.none(), 100, named_stream(8))
-        est = get_estimator(spec, data, SplitMode.HALVES, EstimatorConfig(max_iters=20))
+        train, _ = split_dataset(data, SplitMode.HALVES)
+        est = soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
         assert est.trained_on == 50
 
     def test_by_multiplicity_all_distinct(self):
@@ -224,9 +205,8 @@ class TestGetEstimator:
         rows, cols = np.divmod(np.arange(12), d)
         data = Dataset(index=1, rows=rows, cols=cols, values=np.ones(12))
         spec = MatrixSpec(index=1, dim=d, rank_bound=1)
-        est = get_estimator(
-            spec, data, SplitMode.BY_MULTIPLICITY, EstimatorConfig(max_iters=5)
-        )
+        train, _ = split_dataset(data, SplitMode.BY_MULTIPLICITY)
+        est = soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
         assert est.trained_on == 12
 
     def test_halves_recovery_noiseless(self):
@@ -238,19 +218,14 @@ class TestGetEstimator:
         data = base.extend(base)
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=float(np.abs(truth).max()))
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=50, tol=1e-12)
-        est = get_estimator(spec, data, SplitMode.HALVES, cfg)
+        est = soft_impute_fit(split_dataset(data, SplitMode.HALVES)[0], spec, cfg)
         rel = np.linalg.norm(est.values - truth) / np.linalg.norm(truth)
         assert rel <= 1e-3
         assert est.trained_on == d * d
 
-    def test_index_mismatch_rejected(self):
-        spec = MatrixSpec(index=2, dim=5, rank_bound=1)
-        data = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
-        with pytest.raises(ValueError):
-            get_estimator(spec, data, SplitMode.HALVES, EstimatorConfig())
-
     def test_empty_train_portion_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
         data = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
+        train, _ = split_dataset(data, SplitMode.HALVES)
         with pytest.raises(ValueError):
-            get_estimator(spec, data, SplitMode.HALVES, EstimatorConfig())
+            soft_impute_fit(train, spec, EstimatorConfig())

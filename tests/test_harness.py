@@ -1,11 +1,15 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcsim import (
     Discretized,
+    Doubling,
     EstimatorConfig,
     ExperimentConfig,
     SplitMode,
@@ -46,6 +50,48 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+@st.composite
+def valid_configs(draw):
+    """Any ExperimentConfig the constructors accept (finite floats, p up to inf)."""
+    K = draw(st.integers(1, 4))
+    dims = draw(st.lists(st.integers(2, 60), min_size=K, max_size=K))
+    ranks = [draw(st.integers(1, d)) for d in dims]
+    positive = st.floats(1e-6, 1e6)
+    p = st.floats(1.0, 50.0) | st.just(math.inf)
+    weights = st.none() | st.tuples(*[positive] * K)
+    strategy = st.builds(StrategySpec, st.just("malocate"), p=p, weights=weights) | st.builds(
+        StrategySpec, st.sampled_from(["uniform", "oracle"]), p=st.none() | p, weights=weights
+    )
+    schedule = st.just(Doubling()) | st.builds(
+        Discretized, st.integers(1, 20), st.integers(1, 500), st.booleans()
+    )
+    estimator = st.builds(
+        EstimatorConfig,
+        lambda_scale=st.floats(0.0, 1e3),
+        max_iters=st.integers(1, 10_000),
+        tol=positive,
+        warm_start=st.booleans(),
+        clip_output=st.booleans(),
+        debug=st.booleans(),
+    )
+    return ExperimentConfig(
+        experiment=draw(st.text(max_size=12)),
+        dims=dims,
+        ranks=ranks,
+        sigma=draw(st.floats(0.0, 1e3)),
+        bound_a=draw(positive),
+        budget=draw(st.integers(1, 10**9)),
+        strategies=tuple(draw(st.lists(strategy, min_size=1, max_size=5))),
+        schedule=draw(schedule),
+        split=draw(st.sampled_from(SplitMode)),
+        estimator=draw(estimator),
+        confidence_scale=draw(positive),
+        reps=draw(st.integers(1, 100)),
+        seed=draw(st.integers(0, 2**63)),
+        out_dir=draw(st.none() | st.text(max_size=12)),
+    )
+
+
 class TestPresets:
     def test_experiment_1(self):
         cfg = preset_experiment_1()
@@ -67,6 +113,12 @@ class TestPresets:
         assert cfg.ranks[14] == 76
         assert sum(1 for r in cfg.ranks if r <= 22) == 8
         assert cfg.budget == 15 * 200 * 200 // 2
+
+    def test_scaled_keeps_other_fields(self):
+        cfg = tiny_config(estimator=EstimatorConfig(debug=True), out_dir="out")
+        small = scaled(cfg, 2.0)
+        assert small.dims == (8, 10) and small.budget == 82
+        assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
 
     def test_scaled_preserves_shape(self):
         cfg = scaled(preset_experiment_1(), 5.0)
@@ -229,6 +281,50 @@ class TestConfigSerialization:
     def test_missing_dims_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"ranks": [2]})
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_configs())
+    def test_json_round_trip_property(self, cfg):
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
+
+    def test_debug_round_trips(self):
+        cfg = tiny_config(estimator=EstimatorConfig(debug=True))
+        assert config_to_dict(cfg)["estimator"]["debug"] is True
+        assert config_from_dict(config_to_dict(cfg)) == cfg
+        raw = json.loads('{"dims": [8], "ranks": [2], "estimator": {"debug": true}}')
+        assert config_from_dict(raw).estimator == EstimatorConfig(debug=True)
+
+    def test_missing_keys_take_defaults(self):
+        cfg = config_from_dict({"dims": [8, 10], "ranks": [1, 2]})
+        assert cfg == ExperimentConfig(experiment="custom", dims=(8, 10), ranks=(1, 2), budget=82)
+
+    def test_doubling_takes_no_parameters(self):
+        raw = config_to_dict(tiny_config(schedule=Doubling()))
+        assert raw["schedule"] == {"kind": "doubling"}
+        raw["schedule"]["reuse_samples"] = False
+        with pytest.raises(ValueError, match="unknown keys"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sigma", "abc"),
+            ("dims", 5),
+            ("reps", [1]),
+            ("split", "thirds"),
+            ("schedule", {"kind": "bogus"}),
+            ("schedule", {"kind": "discretized", "reuse_samples": "yes"}),
+            ("strategies", [{"kind": "malocate", "p": "abc"}]),
+            ("strategies", [{"kind": "malocate", "p": math.nan}]),
+            ("strategies", [{"p": 1.0}]),
+            ("estimator", 3),
+        ],
+    )
+    def test_malformed_values_rejected(self, key, value):
+        raw = config_to_dict(tiny_config())
+        raw[key] = value
+        with pytest.raises(ValueError):
+            config_from_dict(raw)
 
     def test_invalid_config_values_rejected(self):
         with pytest.raises(ValueError):

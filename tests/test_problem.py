@@ -7,7 +7,6 @@ from amcsim import (
     GroundTruth,
     MatrixSpec,
     NoiseModel,
-    Observation,
     generate_ground_truth,
     named_stream,
     new_samples,
@@ -127,16 +126,7 @@ def test_new_samples_rejects_bad_T():
         new_samples(gt, NoiseModel.none(), 0, named_stream(0))
 
 
-def test_dataset_observation_round_trip():
-    obs = [Observation(3, 0, 1, 0.5), Observation(3, 2, 2, -1.5)]
-    ds = Dataset.from_observations(obs)
-    assert ds.index == 3
-    assert ds.observations() == obs
-
-
 def test_dataset_mixed_indices_rejected():
-    with pytest.raises(ValueError):
-        Dataset.from_observations([Observation(1, 0, 0, 0.0), Observation(2, 0, 0, 0.0)])
     a = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
     b = Dataset(index=2, rows=[0], cols=[0], values=[1.0])
     with pytest.raises(ValueError):

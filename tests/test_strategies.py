@@ -316,6 +316,24 @@ class TestDiscretizedRuns:
         assert trace.events[-1].t_values[0] == min(n, 400)
 
 
+class TestInitClampedToCap:
+    # The budget has to cover each arm's first batch after the d^2 clamp:
+    # 8 * 6 = 48 is clamped to 36 and initial_batch(3) = 12 to 9.
+    @pytest.mark.parametrize("dim,schedule", [(6, Discretized(8, 4)), (3, Doubling())])
+    def test_budget_of_clamped_init(self, dim, schedule):
+        truths = make_problem([dim, dim], [1, 1], seed=15)
+        n = 2 * dim * dim
+        common = (
+            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, schedule,
+            FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        )
+        _, trace = malocate_run(*common, rng=13)
+        assert [e.batch for e in trace.events] == [dim * dim, dim * dim]
+        assert trace.events[-1].t == n
+        with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
+            malocate_run(*common[:3], n - 1, *common[4:], rng=13)
+
+
 class TestOracleRun:
     def test_oracle_prefers_large_true_error(self):
         # rank 8 arm is much harder than rank 1 at equal budget
