@@ -14,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .error_bounds import SplitMode
-from .estimators import EstimatorConfig
+from .estimators import EstimatorConfig, gram_svt, svt
 from .harness import (
     ExperimentConfig,
     StrategySpec,
@@ -212,6 +212,23 @@ def check_determinism() -> str | None:
     return None
 
 
+def check_svt_kernel() -> str | None:
+    # The fit's Gram-eigh step against the dense SVD on one fixed 40 x 40
+    # matrix, with the threshold midway through its spectrum; a faulty
+    # LAPACK build shows up here.
+    m = np.random.default_rng(5).normal(size=(40, 40))
+    sigma = np.linalg.svd(m, compute_uv=False)
+    theta = float(0.5 * (sigma[19] + sigma[20]))
+    out, shrunk = gram_svt(m, theta)
+    err = float(np.max(np.abs(out - svt(m, theta))))
+    if err > 1e-10 * max(1.0, float(sigma[0])):
+        return f"Gram-eigh step differs from the dense SVT by {err:.3g}"
+    nuclear = float(np.maximum(sigma - theta, 0.0).sum())
+    if abs(float(shrunk.sum()) - nuclear) > 1e-9 * nuclear:
+        return f"shrunk singular values sum to {shrunk.sum():.12g}, not {nuclear:.12g}"
+    return None
+
+
 CHECKS = [
     ("b_monotonicity", check_b_monotonicity),
     ("doubling_law", check_doubling_law),
@@ -221,6 +238,7 @@ CHECKS = [
     ("csv_round_trip", check_csv_round_trip),
     ("paired_generation", check_paired_generation),
     ("determinism", check_determinism),
+    ("svt_kernel", check_svt_kernel),
 ]
 
 

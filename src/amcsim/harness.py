@@ -512,6 +512,8 @@ def _from_json(tp, raw, where: str):
         return tuple(_from_json(get_args(tp)[0], v, where) for v in raw)
     if tp is bool and not isinstance(raw, bool):
         raise ValueError(f"{where} must be true or false, got {raw!r}")
+    if tp is int and isinstance(raw, float) and not raw.is_integer():
+        raise ValueError(f"{where} must be an integer, got {raw!r}")
     try:
         return tp(raw)
     except TypeError:

@@ -116,13 +116,19 @@ class Discretized:
 
 @dataclass
 class ArmState:
-    """Per-matrix bookkeeping: samples spent, band, current estimate."""
+    """Per-matrix bookkeeping: samples spent, band, current estimate.
+
+    ``sq_err`` caches the squared Frobenius error of ``current`` against
+    the truth; it is None until ``_true_errors`` computes it and is
+    cleared whenever ``current`` changes.
+    """
 
     truth: GroundTruth
     samples_spent: int = 0
     band: float = math.inf
     current: MatrixEstimate | None = None
     data: Dataset | None = None
+    sq_err: float | None = None
 
     @property
     def dim(self) -> int:
@@ -237,13 +243,16 @@ def compute_loss(
 
 
 def _true_errors(states: list[ArmState]) -> list[float]:
-    """Raw squared Frobenius errors of the current estimates."""
-    out = []
+    """Raw squared Frobenius errors of the current estimates.
+
+    Only an arm whose estimate changed since the last call is recomputed.
+    """
     for s in states:
-        m = s.truth.entries
-        diff = m if s.current is None else s.current.values - m
-        out.append(float(np.sum(diff * diff)))
-    return out
+        if s.sq_err is None:
+            m = s.truth.entries
+            diff = m if s.current is None else s.current.values - m
+            s.sq_err = float(np.sum(diff * diff))
+    return [s.sq_err for s in states]
 
 
 def _resolve_streams(rng, K: int) -> list[np.random.Generator]:
@@ -272,6 +281,7 @@ def _refit(
     if bundle.b <= state.band:
         state.current = est
         state.band = bundle.b
+        state.sq_err = None
 
 
 def _run(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcsim import (
     Dataset,
@@ -17,6 +19,7 @@ from amcsim import (
     split_dataset,
     svt,
 )
+from amcsim.estimators import gram_svt
 
 
 def full_coverage_dataset(entries, index=1, repeat_first=0):
@@ -88,6 +91,80 @@ class TestSvt:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             svt(np.eye(2), -0.1)
+
+
+@st.composite
+def svt_cases(draw):
+    """(matrix, singular values, theta) with the threshold away from every
+    singular value: zero, midway between two distinct ones, or above all."""
+    d = draw(st.integers(2, 60))
+    kind = draw(st.sampled_from(["full", "deficient", "repeated"]))
+    rank = d if kind == "full" else draw(st.integers(1, d - 1 if kind == "deficient" else d))
+    # Singular values on a grid of spacing 0.25 in [1, 10], so that a
+    # midpoint threshold keeps a fixed gap from every singular value.
+    grid = st.integers(0, 36)
+    if kind == "repeated":
+        repeated = draw(st.lists(grid, min_size=1, max_size=2))
+        steps = [repeated[i % len(repeated)] for i in range(rank)]
+    else:
+        steps = draw(st.lists(grid, min_size=rank, max_size=rank))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    sigma = np.zeros(d)
+    sigma[:rank] = np.sort(1.0 + 0.25 * np.array(steps))[::-1] * scale
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    v, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    m = (u * sigma) @ v.T
+    levels = np.unique(np.concatenate([[0.0], sigma]))
+    where = draw(st.sampled_from(["zero", "between", "above"]))
+    if where == "zero":
+        theta = 0.0
+    elif where == "above":
+        theta = sigma[0] * draw(st.floats(1.01, 10.0))
+    else:
+        i = draw(st.integers(0, len(levels) - 2))
+        theta = 0.5 * (levels[i] + levels[i + 1])
+    return m, sigma, theta
+
+
+class TestGramSvt:
+    @settings(max_examples=150, deadline=None)
+    @given(svt_cases())
+    def test_matches_dense_svt(self, case):
+        m, sigma, theta = case
+        out, shrunk = gram_svt(m, theta)
+        tol = 1e-10 * max(1.0, sigma[0])
+        assert np.max(np.abs(out - svt(m, theta))) <= tol
+        # The shrunk values sum to the nuclear norm the debug objective uses.
+        assert abs(shrunk.sum() - np.maximum(sigma - theta, 0.0).sum()) <= m.shape[0] * tol
+
+    def test_threshold_above_top_gives_zero(self):
+        m = np.diag([3.0, 1.0])
+        out, shrunk = gram_svt(m, 3.5)
+        assert np.array_equal(out, np.zeros((2, 2)))
+        assert shrunk.size == 0
+
+    @pytest.mark.parametrize("d", [12, 50, 120])
+    def test_fit_matches_dense_svt_loop(self, d):
+        spec = MatrixSpec(index=1, dim=d, rank_bound=3)
+        gt = generate_ground_truth(spec, 29)
+        data = new_samples(gt, NoiseModel.gaussian(0.1), d * d, named_stream(9, d))
+        cfg = EstimatorConfig(lambda_scale=0.3, max_iters=40, tol=1e-300, clip_output=False)
+        est = soft_impute_fit(data, spec, cfg)
+
+        # Reference: the same iteration with the dense svt, every step run.
+        key = data.rows * d + data.cols
+        uniq, inverse = np.unique(key, return_inverse=True)
+        targets = np.bincount(inverse, weights=data.values) / np.bincount(inverse)
+        rows, cols = np.divmod(uniq, d)
+        theta = d * lambda_for(d, len(data), spec.bound, cfg.lambda_scale)
+        z = np.zeros((d, d))
+        for _ in range(cfg.max_iters):
+            filled = z.copy()
+            filled[rows, cols] = targets
+            z = svt(filled, theta)
+        assert 0 < np.linalg.matrix_rank(z) < d
+        assert np.linalg.norm(est.values - z) <= 1e-9 * np.linalg.norm(z)
 
 
 class TestSoftImpute:

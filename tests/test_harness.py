@@ -326,6 +326,34 @@ class TestConfigSerialization:
         with pytest.raises(ValueError):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("reps",), 2.5),
+            (("budget",), 1000.7),
+            (("seed",), math.inf),
+            (("dims",), [16.5, 20]),
+            (("schedule", "num_batches"), 8.25),
+            (("estimator", "max_iters"), 50.5),
+        ],
+    )
+    def test_fractional_int_rejected(self, path, value):
+        raw = config_to_dict(tiny_config())
+        *parents, key = path
+        target = raw
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match="must be an integer"):
+            config_from_dict(raw)
+
+    def test_integral_floats_and_strings_accepted(self):
+        raw = config_to_dict(tiny_config())
+        raw.update(reps=2.0, budget="1100", dims=[16.0, "20"])
+        raw["schedule"]["num_batches"] = 8.0
+        raw["estimator"]["max_iters"] = "50"
+        assert config_from_dict(raw) == tiny_config()
+
     def test_invalid_config_values_rejected(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="x", dims=(4,), ranks=(9,), budget=100)
