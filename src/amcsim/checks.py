@@ -14,7 +14,13 @@ import tempfile
 import numpy as np
 
 from .error_bounds import SplitMode
-from .estimators import EstimatorConfig, gram_svt, svt
+from .estimators import (
+    EstimatorConfig,
+    gram_svt,
+    plain_soft_impute,
+    soft_impute_fit,
+    svt,
+)
 from .harness import (
     ExperimentConfig,
     StrategySpec,
@@ -23,7 +29,13 @@ from .harness import (
     run_experiment,
     write_metrics_csv,
 )
-from .problem import NoiseModel, generate_ground_truth
+from .problem import (
+    MatrixSpec,
+    NoiseModel,
+    generate_ground_truth,
+    named_stream,
+    new_samples,
+)
 from .strategies import (
     ArmState,
     Discretized,
@@ -229,6 +241,25 @@ def check_svt_kernel() -> str | None:
     return None
 
 
+def check_fit_fixed_point() -> str | None:
+    # The accelerated fit against the plain SoftImpute loop, both run to
+    # a tight tol on one fixed 30 x 30 rank-3 instance sampled at 20%.
+    spec = MatrixSpec(index=1, dim=30, rank_bound=3)
+    truth = generate_ground_truth(spec, 3)
+    data = new_samples(truth, NoiseModel.gaussian(0.1), 180, named_stream(3))
+    cfg = EstimatorConfig(max_iters=5000, tol=1e-11, clip_output=False)
+    est = soft_impute_fit(data, spec, cfg)
+    z, plain_steps = plain_soft_impute(data, spec, cfg)
+    if not est.converged:
+        return f"fit did not converge in {est.iterations} steps"
+    err = float(np.linalg.norm(est.values - z)) / max(float(np.linalg.norm(z)), 1.0)
+    if err > 1e-8:
+        return f"fit differs from the plain loop's fixed point by {err:.3g} relative"
+    if est.iterations >= plain_steps:
+        return f"fit took {est.iterations} steps, the plain loop {plain_steps}"
+    return None
+
+
 CHECKS = [
     ("b_monotonicity", check_b_monotonicity),
     ("doubling_law", check_doubling_law),
@@ -239,6 +270,7 @@ CHECKS = [
     ("paired_generation", check_paired_generation),
     ("determinism", check_determinism),
     ("svt_kernel", check_svt_kernel),
+    ("fit_fixed_point", check_fit_fixed_point),
 ]
 
 

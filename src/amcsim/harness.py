@@ -512,6 +512,9 @@ def _from_json(tp, raw, where: str):
         return tuple(_from_json(get_args(tp)[0], v, where) for v in raw)
     if tp is bool and not isinstance(raw, bool):
         raise ValueError(f"{where} must be true or false, got {raw!r}")
+    # bool is a subclass of int, so int(True) and float(True) would pass.
+    if tp in (int, float) and isinstance(raw, bool):
+        raise ValueError(f"{where} must be a number, got {raw!r}")
     if tp is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"{where} must be an integer, got {raw!r}")
     try:

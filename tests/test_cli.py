@@ -86,6 +86,14 @@ def test_run_rejects_fractional_int(tmp_path, capsys):
     assert "amcsim: error:" in capsys.readouterr().err
 
 
+def test_run_rejects_bool_number(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "budget": 64, "reps": True}))
+    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "amcsim: error:" in capsys.readouterr().err
+
+
 def test_run_missing_config_file(tmp_path, capsys):
     code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
     assert code == 1
@@ -110,8 +118,9 @@ def test_check_subcommand(capsys):
     code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") == 9
+    assert out.count("PASS") == 10
     assert "PASS svt_kernel" in out
+    assert "PASS fit_fixed_point" in out
     assert "FAIL" not in out
 
 

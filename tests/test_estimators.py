@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from amcsim import (
     split_dataset,
     svt,
 )
-from amcsim.estimators import gram_svt
+from amcsim.estimators import MatrixEstimate, gram_svt, plain_soft_impute
 
 
 def full_coverage_dataset(entries, index=1, repeat_first=0):
@@ -36,6 +37,37 @@ def full_coverage_dataset(entries, index=1, repeat_first=0):
         )
         ds = ds.extend(extra)
     return ds
+
+
+def sampled(d, draws, rank=3, seed=29):
+    """Noisy draws of a rank-``rank`` d x d instance, with replacement."""
+    spec = MatrixSpec(index=1, dim=d, rank_bound=rank)
+    gt = generate_ground_truth(spec, seed)
+    return spec, gt, new_samples(gt, NoiseModel.gaussian(0.1), draws, named_stream(9, d, seed))
+
+
+def objective(data, spec, cfg, z):
+    """0.5 ||P_Omega(targets - z)||^2 + theta ||z||_*, duplicates averaged,
+    with the nuclear norm from a dense SVD."""
+    d = spec.dim
+    key = data.rows * d + data.cols
+    uniq, inverse = np.unique(key, return_inverse=True)
+    targets = np.bincount(inverse, weights=data.values) / np.bincount(inverse)
+    rows, cols = np.divmod(uniq, d)
+    theta = d * lambda_for(d, len(data), spec.bound, cfg.lambda_scale)
+    resid = targets - z[rows, cols]
+    return 0.5 * float(resid @ resid) + theta * float(np.linalg.svd(z, compute_uv=False).sum())
+
+
+def fit_and_plain(data, spec, cfg):
+    """Run the fit and the plain loop to ``cfg.tol``; both must converge
+    and agree within 1e-8 relative. Returns (fit, plain iterate, plain
+    steps)."""
+    est = soft_impute_fit(data, spec, cfg)
+    z, plain_steps = plain_soft_impute(data, spec, cfg)
+    assert est.converged and plain_steps < cfg.max_iters
+    assert np.linalg.norm(est.values - z) <= 1e-8 * max(np.linalg.norm(z), 1.0)
+    return est, z, plain_steps
 
 
 class TestLambdaFor:
@@ -146,25 +178,97 @@ class TestGramSvt:
 
     @pytest.mark.parametrize("d", [12, 50, 120])
     def test_fit_matches_dense_svt_loop(self, d):
-        spec = MatrixSpec(index=1, dim=d, rank_bound=3)
-        gt = generate_ground_truth(spec, 29)
-        data = new_samples(gt, NoiseModel.gaussian(0.1), d * d, named_stream(9, d))
-        cfg = EstimatorConfig(lambda_scale=0.3, max_iters=40, tol=1e-300, clip_output=False)
-        est = soft_impute_fit(data, spec, cfg)
-
-        # Reference: the same iteration with the dense svt, every step run.
-        key = data.rows * d + data.cols
-        uniq, inverse = np.unique(key, return_inverse=True)
-        targets = np.bincount(inverse, weights=data.values) / np.bincount(inverse)
-        rows, cols = np.divmod(uniq, d)
-        theta = d * lambda_for(d, len(data), spec.bound, cfg.lambda_scale)
-        z = np.zeros((d, d))
-        for _ in range(cfg.max_iters):
-            filled = z.copy()
-            filled[rows, cols] = targets
-            z = svt(filled, theta)
+        spec, _, data = sampled(d, d * d)
+        # One step: momentum is zero on the first step, so it is one plain
+        # step with the dense svt.
+        one = EstimatorConfig(lambda_scale=0.3, max_iters=1, clip_output=False)
+        est = soft_impute_fit(data, spec, one)
+        z, steps = plain_soft_impute(data, spec, one)
+        assert steps == est.iterations == 1
         assert 0 < np.linalg.matrix_rank(z) < d
-        assert np.linalg.norm(est.values - z) <= 1e-9 * np.linalg.norm(z)
+        assert np.linalg.norm(est.values - z) <= 1e-12 * np.linalg.norm(z)
+        # Run to a tight tol, the fit reaches the plain loop's fixed point
+        # in fewer steps.
+        cfg = dataclasses.replace(one, max_iters=20000, tol=1e-11)
+        est, z, plain_steps = fit_and_plain(data, spec, cfg)
+        assert 0 < np.linalg.matrix_rank(z, tol=1e-6) < d
+        assert est.iterations < plain_steps
+
+
+class TestAcceleratedFit:
+    """The restarted accelerated fit against the plain SoftImpute loop."""
+
+    @pytest.mark.parametrize("d", [50, 120])
+    def test_sampled_fit_matches_plain_loop(self, d):
+        # 15% of d^2 draws, where the plain loop is slowest.
+        spec, _, data = sampled(d, int(0.15 * d * d))
+        cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
+        est, z, plain_steps = fit_and_plain(data, spec, cfg)
+        assert 0 < np.linalg.matrix_rank(z, tol=1e-6) < d
+        assert est.iterations < plain_steps
+
+    @pytest.mark.parametrize("d", [12, 50])
+    def test_tight_tol_does_not_stall(self, d):
+        # Near the fixed point a plain step can raise the objective by
+        # rounding; were it dropped, the fit would never stop on tol.
+        spec, _, data = sampled(d, d * d)
+        cfg = EstimatorConfig(lambda_scale=0.3, max_iters=20000, tol=1e-11)
+        est = soft_impute_fit(data, spec, cfg)
+        assert est.converged
+        assert est.iterations < 2000
+
+    def test_iterations_and_convergence_recorded(self):
+        spec, _, data = sampled(30, 150)
+        cut = soft_impute_fit(data, spec, EstimatorConfig(max_iters=1))
+        assert (cut.iterations, cut.converged) == (1, False)
+        cfg = EstimatorConfig(max_iters=300, tol=1e-5)
+        done = soft_impute_fit(data, spec, cfg)
+        assert done.converged and 1 < done.iterations < cfg.max_iters
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(5, 40),
+        share=st.floats(0.05, 1.0),
+        rank=st.integers(1, 3),
+        lambda_scale=st.sampled_from([0.3, 1.0]),
+        warm=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_accepted_objective_never_rises(self, d, share, rank, lambda_scale, warm, seed):
+        spec, gt, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
+        start = None
+        if warm:
+            noise = np.random.default_rng(seed).normal(scale=0.5, size=(d, d))
+            start = MatrixEstimate(1, gt.entries + noise, 0, 0.0)
+        # The fit after k steps is the last iterate accepted by then.
+        cfg = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-300, clip_output=False)
+        values = [
+            objective(data, spec, cfg, soft_impute_fit(
+                data, spec, dataclasses.replace(cfg, max_iters=k), warm=start
+            ).values)
+            for k in range(1, 16)
+        ]
+        for before, after in zip(values, values[1:]):
+            assert after <= before + 1e-9 * max(1.0, before)
+        # debug=True asserts the same on every accepted step of a long fit.
+        debug = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-11, debug=True)
+        soft_impute_fit(data, spec, debug, warm=start)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        d=st.integers(5, 40),
+        share=st.floats(0.05, 1.0),
+        rank=st.integers(1, 10),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fixed_point_matches_plain_loop(self, d, share, rank, seed):
+        spec, _, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
+        cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
+        est, _, plain_steps = fit_and_plain(data, spec, cfg)
+        # A fit that converges within a few dozen plain steps may take a
+        # few steps more, since a dropped step still costs one.
+        if plain_steps >= 100:
+            assert est.iterations < plain_steps
 
 
 class TestSoftImpute:

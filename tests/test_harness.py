@@ -347,6 +347,28 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="must be an integer"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("reps",), True),
+            (("budget",), True),
+            (("sigma",), False),
+            (("dims",), [True, 20]),
+            (("estimator", "max_iters"), True),
+            (("estimator", "tol"), True),
+            (("strategies",), [{"kind": "malocate", "p": True}]),
+        ],
+    )
+    def test_bool_number_rejected(self, path, value):
+        raw = config_to_dict(tiny_config())
+        *parents, key = path
+        target = raw
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match="must be a number"):
+            config_from_dict(raw)
+
     def test_integral_floats_and_strings_accepted(self):
         raw = config_to_dict(tiny_config())
         raw.update(reps=2.0, budget="1100", dims=[16.0, "20"])
