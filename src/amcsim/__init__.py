@@ -2,12 +2,9 @@
 
 from .error_bounds import (
     ErrorEstimate,
-    PairedSample,
     SplitMode,
     b_value,
-    estimate_error,
     estimate_error_bound,
-    pair_double_samples,
     split_dataset,
 )
 from .estimators import (
@@ -48,9 +45,9 @@ from .strategies import (
     Discretized,
     Doubling,
     LossSpec,
+    RunSpec,
     RunTrace,
     TraceEvent,
-    compute_loss,
     initial_batch,
     loss_from_errors,
     malocate_run,

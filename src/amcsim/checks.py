@@ -41,6 +41,7 @@ from .strategies import (
     Discretized,
     Doubling,
     LossSpec,
+    RunSpec,
     initial_batch,
     loss_from_errors,
     malocate_run,
@@ -82,17 +83,11 @@ def _doubling_trace():
         reps=1,
     )
     truths = [generate_ground_truth(s, (cfg.seed, 0, 0, pos)) for pos, s in enumerate(cfg.specs())]
-    _, trace = malocate_run(
-        truths,
-        NoiseModel.gaussian(cfg.sigma),
-        LossSpec(p=1.0),
-        cfg.budget,
-        cfg.schedule,
-        cfg.estimator,
-        cfg.split,
-        cfg.seed,
-        scale=cfg.confidence_scale,
+    spec = RunSpec(
+        NoiseModel.gaussian(cfg.sigma), LossSpec(p=1.0), cfg.budget, cfg.schedule,
+        cfg.estimator, cfg.split, cfg.confidence_scale,
     )
+    _, trace = malocate_run(truths, spec, cfg.seed)
     return cfg, truths, trace
 
 

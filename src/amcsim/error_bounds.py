@@ -18,12 +18,9 @@ from .problem import Dataset
 
 __all__ = [
     "SplitMode",
-    "PairedSample",
     "ErrorEstimate",
     "split_dataset",
-    "pair_double_samples",
     "paired_arrays",
-    "estimate_error",
     "b_value",
     "estimate_error_bound",
 ]
@@ -40,16 +37,6 @@ class SplitMode(enum.Enum):
 
     HALVES = "halves"
     BY_MULTIPLICITY = "by_multiplicity"
-
-
-@dataclass(frozen=True)
-class PairedSample:
-    """Two independent looks y, y2 at the same entry (row, col)."""
-
-    row: int
-    col: int
-    y: float
-    y2: float
 
 
 @dataclass(frozen=True)
@@ -126,34 +113,8 @@ def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def pair_double_samples(eval_data: Dataset) -> list[PairedSample]:
-    """List the disjoint pairs of repeated observations in ``eval_data``."""
-    rows, cols, y, y2 = paired_arrays(eval_data)
-    return [
-        PairedSample(int(i), int(j), float(a), float(b))
-        for i, j, a, b in zip(rows, cols, y, y2)
-    ]
-
-
 def _estimate_values(est) -> np.ndarray:
     return est if isinstance(est, np.ndarray) else est.values
-
-
-def estimate_error(est, pairs: list[PairedSample]) -> float:
-    """Unbiased estimate of the normalized squared error of ``est``.
-
-    Averages (y - m)(y2 - m) over the pairs, where m is the estimate's
-    value at the pair's entry. The expectation is ||est - M||_F^2 / d^2;
-    individual averages may be negative.
-    """
-    if len(pairs) == 0:
-        raise ValueError("need at least one double-sampled pair")
-    m = _estimate_values(est)
-    total = 0.0
-    for p in pairs:
-        mij = m[p.row, p.col]
-        total += (p.y - mij) * (p.y2 - mij)
-    return total / len(pairs)
 
 
 def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0) -> float:
@@ -174,8 +135,10 @@ def estimate_error_bound(est, eval_data: Dataset, dim: int, bound: float,
                          scale: float = 8.0) -> ErrorEstimate:
     """Pair the eval sample and bundle (N, r_n, b) for one estimate.
 
-    Vectorized runtime path for the strategies: with no pairs the band
-    is +inf and the caller keeps its previous state.
+    r_n averages (y - m)(y2 - m) over the pairs, m being the estimate's
+    value at the pair's entry: an unbiased estimate of ||est - M||_F^2 / d^2
+    that may be negative. With no pairs the band is +inf and the caller
+    keeps its previous state.
     """
     rows, cols, y, y2 = paired_arrays(eval_data)
     n_pairs = len(y)

@@ -21,11 +21,12 @@ import numpy as np
 
 from .error_bounds import SplitMode
 from .estimators import EstimatorConfig, MatrixEstimate
-from .problem import GroundTruth, MatrixSpec, NoiseModel, generate_ground_truth, named_stream
+from .problem import GroundTruth, MatrixSpec, NoiseModel, generate_ground_truth
 from .strategies import (
     Discretized,
     Doubling,
     LossSpec,
+    RunSpec,
     RunTrace,
     malocate_run,
     oracle_run,
@@ -77,10 +78,13 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "malocate" and self.p is None:
             raise ValueError("malocate requires a loss parameter p")
-        if self.p is not None and not self.p >= 1:  # rejects NaN too
-            raise ValueError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        self.loss  # LossSpec rejects p < 1, NaN p and nonpositive weights
+
+    @property
+    def loss(self) -> LossSpec:
+        return LossSpec(self.p if self.p is not None else math.inf, self.weights)
 
     @property
     def label(self) -> str:
@@ -138,6 +142,11 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        for s in self.strategies:
+            if s.weights is not None and len(s.weights) != len(self.dims):
+                raise ValueError(
+                    f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
+                )
 
     @property
     def num_matrices(self) -> int:
@@ -229,13 +238,6 @@ def _rep_truths(cfg: ExperimentConfig, rep: int) -> list[GroundTruth]:
     ]
 
 
-def _strategy_streams(cfg: ExperimentConfig, rep: int, s_idx: int):
-    return [
-        named_stream(cfg.seed, rep, _ROLE_OBS, s_idx, pos)
-        for pos in range(cfg.num_matrices)
-    ]
-
-
 def _execute_strategy(
     cfg: ExperimentConfig,
     strategy: StrategySpec,
@@ -243,25 +245,13 @@ def _execute_strategy(
     rep: int,
     s_idx: int,
 ) -> tuple[list[MatrixEstimate], RunTrace]:
-    loss = LossSpec(
-        p=strategy.p if strategy.p is not None else math.inf,
-        weights=strategy.weights,
+    spec = RunSpec(
+        cfg.noise(), strategy.loss, cfg.budget, cfg.schedule, cfg.estimator, cfg.split,
+        cfg.confidence_scale,
     )
-    streams = _strategy_streams(cfg, rep, s_idx)
-    runner = {"malocate": malocate_run, "uniform": uniform_run, "oracle": oracle_run}[
-        strategy.kind
-    ]
-    return runner(
-        truths,
-        cfg.noise(),
-        loss,
-        cfg.budget,
-        cfg.schedule,
-        cfg.estimator,
-        cfg.split,
-        streams,
-        scale=cfg.confidence_scale,
-    )
+    # Looked up per call, not bound once: tracing wraps these module names.
+    runner = {"malocate": malocate_run, "uniform": uniform_run, "oracle": oracle_run}
+    return runner[strategy.kind](truths, spec, (cfg.seed, rep, _ROLE_OBS, s_idx))
 
 
 def _rows_from_trace(

@@ -1,10 +1,16 @@
 """Active budget allocation over multiple completion problems.
 
-Three strategies share one sequential loop: an adaptive rule that samples
-the matrix with the largest band-per-sample criterion, a round-robin
-baseline, and an oracle that reads the true errors. Each step requests a
-batch of fresh observations for one matrix, refits, re-estimates the
-error band, and accepts the new estimate only when its band improves.
+Three strategies share one sequential loop, ``_run``, and one
+``RunSpec``: an adaptive rule that samples the matrix with the largest
+band-per-sample criterion, a round-robin baseline, and an oracle that
+reads the true errors. They differ only in the chooser that names the
+next matrix. Each step requests a batch of fresh observations for that
+matrix, refits, re-estimates the error band, and accepts the new
+estimate only when its band improves.
+
+Streams: ``rng`` is an integer seed or a tuple key; matrix position
+``pos`` draws its observations from ``named_stream(*key, pos)``, and an
+integer seed ``s`` is the key ``(s,)``.
 """
 from __future__ import annotations
 
@@ -20,6 +26,7 @@ from .problem import Dataset, GroundTruth, NoiseModel, named_stream, new_samples
 
 __all__ = [
     "LossSpec",
+    "RunSpec",
     "ArmState",
     "Doubling",
     "Discretized",
@@ -28,7 +35,6 @@ __all__ = [
     "AllArmsCapped",
     "initial_batch",
     "select_index",
-    "compute_loss",
     "loss_from_errors",
     "malocate_run",
     "uniform_run",
@@ -112,6 +118,22 @@ class Discretized:
 
     def next_batch(self, t_k: int, free: int) -> int:
         return max(1, math.ceil(free / self.num_batches))
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Everything a run needs besides the matrices, the seed and the chooser.
+
+    ``scale`` is the band coefficient handed to ``b_value``.
+    """
+
+    noise: NoiseModel
+    loss: LossSpec
+    budget: int
+    schedule: Doubling | Discretized
+    estimator: EstimatorConfig
+    split: SplitMode
+    scale: float = 8.0
 
 
 @dataclass
@@ -223,25 +245,6 @@ def loss_from_errors(errors, loss: LossSpec) -> float:
     return float(np.sum(w * e**loss.p) ** (1.0 / loss.p))
 
 
-def compute_loss(
-    estimates: list[MatrixEstimate],
-    truths: list[GroundTruth],
-    loss: LossSpec,
-) -> float:
-    """p-loss of a set of estimates against the ground truths.
-
-    Estimates and truths are aligned by matrix index; a missing estimate
-    counts as the zero matrix.
-    """
-    by_index = {e.index: e for e in estimates if e is not None}
-    errors = []
-    for gt in truths:
-        est = by_index.get(gt.spec.index)
-        diff = gt.entries if est is None else est.values - gt.entries
-        errors.append(float(np.sum(diff * diff)))
-    return loss_from_errors(errors, loss)
-
-
 def _true_errors(states: list[ArmState]) -> list[float]:
     """Raw squared Frobenius errors of the current estimates.
 
@@ -255,29 +258,14 @@ def _true_errors(states: list[ArmState]) -> list[float]:
     return [s.sq_err for s in states]
 
 
-def _resolve_streams(rng, K: int) -> list[np.random.Generator]:
-    if isinstance(rng, (int, np.integer)):
-        return [named_stream(int(rng), pos) for pos in range(K)]
-    streams = list(rng)
-    if len(streams) != K:
-        raise ValueError(f"need {K} observation streams, got {len(streams)}")
-    return streams
-
-
-def _refit(
-    state: ArmState,
-    fit_data: Dataset,
-    split: SplitMode,
-    cfg: EstimatorConfig,
-    scale: float,
-) -> None:
-    """Fit on the train part, band the eval part, accept if not worse."""
-    train, eval_part = split_dataset(fit_data, split)
+def _refit(state: ArmState, spec: RunSpec) -> None:
+    """Fit on the train part of the arm's data, band the rest, accept if not worse."""
+    train, eval_part = split_dataset(state.data, spec.split)
     if len(train) == 0:
         return
-    spec = state.truth.spec
-    est = soft_impute_fit(train, spec, cfg, warm=state.current)
-    bundle = estimate_error_bound(est, eval_part, spec.dim, spec.bound, scale)
+    matrix = state.truth.spec
+    est = soft_impute_fit(train, matrix, spec.estimator, warm=state.current)
+    bundle = estimate_error_bound(est, eval_part, matrix.dim, matrix.bound, spec.scale)
     if bundle.b <= state.band:
         state.current = est
         state.band = bundle.b
@@ -285,24 +273,16 @@ def _refit(
 
 
 def _run(
-    problem: list[GroundTruth],
-    noise: NoiseModel,
-    loss: LossSpec,
-    budget: int,
-    schedule,
-    cfg: EstimatorConfig,
-    split: SplitMode,
-    rng,
-    chooser,
-    scale: float,
-    strategy: str,
+    problem: list[GroundTruth], spec: RunSpec, rng, chooser, strategy: str
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     K = len(problem)
     if K == 0:
         raise ValueError("problem must contain at least one matrix")
+    loss, schedule, budget = spec.loss, spec.schedule, spec.budget
     if loss.weights is not None and len(loss.weights) != K:
         raise ValueError("weights length must match the number of matrices")
-    streams = _resolve_streams(rng, K)
+    key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
+    streams = [named_stream(*key, pos) for pos in range(K)]
     states = [ArmState(truth=gt) for gt in problem]
     trace = RunTrace(
         strategy=strategy,
@@ -333,14 +313,14 @@ def _run(
         t_k = state.samples_spent
         desired = schedule.next_batch(t_k, free) if t_k else init[pos]
         batch = min(desired, budget - spent, state.cap - t_k)
-        fresh = new_samples(state.truth, noise, batch, streams[pos])
+        fresh = new_samples(state.truth, spec.noise, batch, streams[pos])
         state.samples_spent += batch
         spent += batch
         if schedule.reuse_samples and state.data is not None:
             state.data = state.data.extend(fresh)
         else:
             state.data = fresh
-        _refit(state, state.data, split, cfg, scale)
+        _refit(state, spec)
         errors = _true_errors(states)
         trace.events.append(
             TraceEvent(
@@ -365,38 +345,17 @@ def _run(
 
 
 def malocate_run(
-    problem: list[GroundTruth],
-    noise: NoiseModel,
-    loss: LossSpec,
-    budget: int,
-    schedule,
-    cfg: EstimatorConfig,
-    split: SplitMode,
-    rng,
-    scale: float = 8.0,
+    problem: list[GroundTruth], spec: RunSpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
-    """Adaptive run: each step samples argmax of the band criterion.
-
-    ``rng`` is an integer seed or a list of per-matrix generators.
-    Returns the final estimates and the full event trace.
-    """
+    """Adaptive run: each step samples argmax of the band criterion."""
     return _run(
-        problem, noise, loss, budget, schedule, cfg, split, rng,
-        chooser=lambda states: select_index(states, loss),
-        scale=scale, strategy="malocate",
+        problem, spec, rng,
+        chooser=lambda states: select_index(states, spec.loss), strategy="malocate",
     )
 
 
 def uniform_run(
-    problem: list[GroundTruth],
-    noise: NoiseModel,
-    loss: LossSpec,
-    budget: int,
-    schedule,
-    cfg: EstimatorConfig,
-    split: SplitMode,
-    rng,
-    scale: float = 8.0,
+    problem: list[GroundTruth], spec: RunSpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Round-robin baseline under the same schedule and update guard."""
     cursor = [0]
@@ -410,31 +369,17 @@ def uniform_run(
                 return pos
         raise AllArmsCapped
 
-    return _run(
-        problem, noise, loss, budget, schedule, cfg, split, rng,
-        chooser=chooser, scale=scale, strategy="uniform",
-    )
+    return _run(problem, spec, rng, chooser=chooser, strategy="uniform")
 
 
 def oracle_run(
-    problem: list[GroundTruth],
-    noise: NoiseModel,
-    loss: LossSpec,
-    budget: int,
-    schedule,
-    cfg: EstimatorConfig,
-    split: SplitMode,
-    rng,
-    scale: float = 8.0,
+    problem: list[GroundTruth], spec: RunSpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
-    """Baseline that allocates to the largest true error.
+    """Baseline that allocates to the largest weighted per-entry true error.
 
-    Ground truth is read for selection only, never for fitting. With
-    unit weights and equal dimensions the comparison uses raw squared
-    errors; otherwise errors are normalized by d^2 and weighted.
+    Ground truth is read for selection only, never for fitting. The score
+    of an arm is w_k * e_k / d_k^2, with e_k its squared Frobenius error.
     """
-    dims_equal = len({gt.spec.dim for gt in problem}) == 1
-    normalize = not (loss.weights is None and dims_equal)
 
     def chooser(states: list[ArmState]) -> int:
         available = [i for i, s in enumerate(states) if not s.at_cap]
@@ -446,14 +391,9 @@ def oracle_run(
         errors = _true_errors(states)
         best, best_score = -1, -math.inf
         for i in available:
-            score = loss.weight(i) * errors[i]
-            if normalize:
-                score /= states[i].cap
+            score = spec.loss.weight(i) * errors[i] / states[i].cap
             if score > best_score:
                 best, best_score = i, score
         return best
 
-    return _run(
-        problem, noise, loss, budget, schedule, cfg, split, rng,
-        chooser=chooser, scale=scale, strategy="oracle",
-    )
+    return _run(problem, spec, rng, chooser=chooser, strategy="oracle")

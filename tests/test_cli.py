@@ -4,6 +4,7 @@ import math
 import pytest
 
 from amcsim import config_to_dict
+from amcsim import cli
 from amcsim.cli import main
 from amcsim.harness import (
     Discretized,
@@ -92,6 +93,24 @@ def test_run_rejects_bool_number(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "amcsim: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1]])
+def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, weights):
+    # A malocate job with bad weights listed after a uniform one must fail
+    # when the config loads, not after the uniform job has run.
+    monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("jobs started"))
+    bad = tmp_path / "bad.json"
+    strategies = [{"kind": "uniform"}, {"kind": "malocate", "p": 1, "weights": weights}]
+    bad.write_text(json.dumps({
+        "dims": [8, 8], "ranks": [2, 2], "budget": 64, "strategies": strategies,
+        "schedule": {"kind": "discretized", "init_multiplier": 2, "num_batches": 2},
+    }))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "amcsim: error:" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
 
 
 def test_run_missing_config_file(tmp_path, capsys):

@@ -11,14 +11,13 @@ from amcsim import (
     NoiseModel,
     SplitMode,
     b_value,
-    estimate_error,
     estimate_error_bound,
     generate_ground_truth,
     named_stream,
     new_samples,
-    pair_double_samples,
     split_dataset,
 )
+from amcsim.error_bounds import paired_arrays
 
 
 def make_dataset(entries, index=1):
@@ -78,36 +77,37 @@ class TestSplitDataset:
 class TestPairDoubleSamples:
     def test_single_duplicate(self):
         evl = make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)])
-        pairs = pair_double_samples(evl)
-        assert len(pairs) == 1
-        p = pairs[0]
-        assert (p.row, p.col) == (0, 0)
-        assert (p.y, p.y2) == (0.2, 0.4)
+        rows, cols, y, y2 = paired_arrays(evl)
+        assert list(zip(rows, cols, y, y2)) == [(0, 0, 0.2, 0.4)]
 
     def test_empty(self):
-        assert pair_double_samples(Dataset(index=1)) == []
+        assert all(len(a) == 0 for a in paired_arrays(Dataset(index=1)))
 
     def test_consecutive_disjoint_pairs(self):
         evl = make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)])
-        pairs = pair_double_samples(evl)
-        assert [(p.y, p.y2) for p in pairs] == [(1.0, 2.0), (3.0, 4.0)]
+        _, _, y, y2 = paired_arrays(evl)
+        assert list(zip(y, y2)) == [(1.0, 2.0), (3.0, 4.0)]
 
     def test_odd_leftover_discarded(self):
         evl = make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)])
-        pairs = pair_double_samples(evl)
-        assert [(p.y, p.y2) for p in pairs] == [(1.0, 2.0)]
+        _, _, y, y2 = paired_arrays(evl)
+        assert list(zip(y, y2)) == [(1.0, 2.0)]
 
     def test_pair_count_bound_and_entry_match(self):
         spec = MatrixSpec(index=1, dim=6, rank_bound=1)
         gt = generate_ground_truth(spec, 2)
         for seed in range(10):
             evl = new_samples(gt, NoiseModel.gaussian(1.0), 120, named_stream(50, seed))
-            pairs = pair_double_samples(evl)
-            assert len(pairs) <= len(evl) // 2
+            rows, cols, y, y2 = paired_arrays(evl)
+            assert len(y) <= len(evl) // 2
             lookup = list(zip(evl.rows, evl.cols, evl.values))
-            for p in pairs:
-                assert (p.row, p.col, p.y) in lookup
-                assert (p.row, p.col, p.y2) in lookup
+            for i, j, a, b in zip(rows, cols, y, y2):
+                assert (i, j, a) in lookup
+                assert (i, j, b) in lookup
+
+
+def r_n(est, entries):
+    return estimate_error_bound(est, make_dataset(entries), est.shape[0], 1.0).r_n
 
 
 class TestEstimateError:
@@ -115,9 +115,9 @@ class TestEstimateError:
         spec = MatrixSpec(index=1, dim=4, rank_bound=1)
         gt = generate_ground_truth(spec, 1)
         evl = new_samples(gt, NoiseModel.none(), 64, named_stream(60))
-        pairs = pair_double_samples(evl)
-        assert len(pairs) >= 1
-        assert estimate_error(gt.entries, pairs) == pytest.approx(0.0, abs=1e-15)
+        bundle = estimate_error_bound(gt.entries, evl, 4, bound=4.0)
+        assert bundle.n_pairs >= 1
+        assert bundle.r_n == pytest.approx(0.0, abs=1e-15)
 
     def test_two_by_two_enumeration(self):
         # M = I2, estimate 0: single pair at (0,0) gives 1; averaging the
@@ -125,29 +125,25 @@ class TestEstimateError:
         # normalized error (1+0+0+1)/4 = ||I||_F^2 / d^2 = 0.5
         truth = np.eye(2)
         est = np.zeros((2, 2))
-        single = pair_double_samples(
-            make_dataset([(0, 0, 1.0), (0, 0, 1.0)])
-        )
-        assert estimate_error(est, single) == pytest.approx(1.0)
+        assert r_n(est, [(0, 0, 1.0), (0, 0, 1.0)]) == pytest.approx(1.0)
         contributions = []
         for i in range(2):
             for j in range(2):
                 y = truth[i, j]
-                pairs = pair_double_samples(make_dataset([(i, j, y), (i, j, y)]))
-                contributions.append(estimate_error(est, pairs))
+                contributions.append(r_n(est, [(i, j, y), (i, j, y)]))
         assert np.mean(contributions) == pytest.approx(0.5)
         assert np.mean(contributions) == pytest.approx(np.sum(truth**2) / 4)
 
     def test_opposite_residuals_go_negative(self):
         est = np.full((3, 3), 2.0)
-        pairs = pair_double_samples(
-            make_dataset([(1, 1, 2.3), (1, 1, 1.7)])
-        )
-        assert estimate_error(est, pairs) == pytest.approx(-0.09)
+        assert r_n(est, [(1, 1, 2.3), (1, 1, 1.7)]) == pytest.approx(-0.09)
 
     def test_no_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_error(np.zeros((2, 2)), [])
+        # entries seen once give no pair, hence no estimate and no band
+        bundle = estimate_error_bound(
+            np.zeros((2, 2)), make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2, 1.0
+        )
+        assert (bundle.n_pairs, bundle.r_n, bundle.b) == (0, None, math.inf)
 
     def test_unbiased_monte_carlo(self):
         # small-scale version of the unbiasedness property
@@ -205,9 +201,17 @@ class TestErrorEstimateBundle:
         evl = new_samples(gt, NoiseModel.gaussian(0.2), 300, named_stream(70))
         est = gt.entries * 0.5
         bundle = estimate_error_bound(est, evl, 10, bound=2.0, scale=4.0)
-        pairs = pair_double_samples(evl)
-        assert bundle.n_pairs == len(pairs)
-        assert bundle.r_n == pytest.approx(estimate_error(est, pairs))
+        # pair each entry's looks (1st, 2nd), (3rd, 4th), ... in arrival order
+        looks = {}
+        for i, j, v in zip(evl.rows, evl.cols, evl.values):
+            looks.setdefault((int(i), int(j)), []).append(float(v))
+        terms = [
+            (vs[a] - est[i, j]) * (vs[a + 1] - est[i, j])
+            for (i, j), vs in looks.items()
+            for a in range(0, len(vs) - 1, 2)
+        ]
+        assert bundle.n_pairs == len(terms)
+        assert bundle.r_n == pytest.approx(np.mean(terms))
         assert bundle.b == pytest.approx(
             b_value(bundle.r_n, bundle.n_pairs, 10, 2.0, scale=4.0)
         )
@@ -221,6 +225,6 @@ class TestErrorEstimateBundle:
         hits = 0
         for _ in range(1000):
             evl = new_samples(gt, NoiseModel.none(), 200, rng)
-            if len(pair_double_samples(evl)) >= 2:
+            if len(paired_arrays(evl)[0]) >= 2:
                 hits += 1
         assert hits >= 990

@@ -12,6 +12,7 @@ from amcsim import (
     Doubling,
     EstimatorConfig,
     ExperimentConfig,
+    LossSpec,
     SplitMode,
     StrategySpec,
     aggregate,
@@ -368,6 +369,18 @@ class TestConfigSerialization:
         target[key] = value
         with pytest.raises(ValueError, match="must be a number"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1]])
+    def test_bad_strategy_weights_rejected_at_load(self, weights):
+        raw = {
+            "dims": [8, 8],
+            "ranks": [2, 2],
+            "strategies": [{"kind": "uniform"}, {"kind": "malocate", "p": 1, "weights": weights}],
+        }
+        with pytest.raises(ValueError, match="weights"):
+            config_from_dict(raw)
+        raw["strategies"][1]["weights"] = [1, 2]
+        assert config_from_dict(raw).strategies[1].loss == LossSpec(1.0, (1.0, 2.0))
 
     def test_integral_floats_and_strings_accepted(self):
         raw = config_to_dict(tiny_config())

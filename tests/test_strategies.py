@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,11 @@ from amcsim import (
     Discretized,
     Doubling,
     EstimatorConfig,
-    GroundTruth,
     LossSpec,
     MatrixSpec,
     NoiseModel,
+    RunSpec,
     SplitMode,
-    compute_loss,
     generate_ground_truth,
     initial_batch,
     loss_from_errors,
@@ -23,7 +23,7 @@ from amcsim import (
     select_index,
     uniform_run,
 )
-from amcsim.estimators import MatrixEstimate
+from amcsim.strategies import _true_errors
 
 FAST_CFG = EstimatorConfig(max_iters=60, tol=1e-4)
 
@@ -115,34 +115,18 @@ class TestSelectIndex:
 
 
 class TestComputeLoss:
-    def estimates_with_errors(self, errors):
-        # build (estimate, truth) pairs whose squared error is prescribed
-        truths, estimates = [], []
-        for pos, e in enumerate(errors):
-            d = 4
-            spec = MatrixSpec(index=pos + 1, dim=d, rank_bound=1)
-            truths.append(GroundTruth(spec=spec, entries=np.zeros((d, d))))
-            values = np.zeros((d, d))
-            values[0, 0] = math.sqrt(e)
-            estimates.append(MatrixEstimate(pos + 1, values, trained_on=1, lambda_used=0.0))
-        return estimates, truths
-
     def test_sum(self):
-        est, tr = self.estimates_with_errors([4.0, 9.0])
-        assert compute_loss(est, tr, LossSpec(p=1.0)) == pytest.approx(13.0)
+        assert loss_from_errors([4.0, 9.0], LossSpec(p=1.0)) == pytest.approx(13.0)
 
     def test_max(self):
-        est, tr = self.estimates_with_errors([4.0, 9.0])
-        assert compute_loss(est, tr, LossSpec(p=math.inf)) == pytest.approx(9.0)
+        assert loss_from_errors([4.0, 9.0], LossSpec(p=math.inf)) == pytest.approx(9.0)
 
     def test_p_two(self):
-        est, tr = self.estimates_with_errors([4.0, 9.0])
-        assert compute_loss(est, tr, LossSpec(p=2.0)) == pytest.approx(math.sqrt(97))
+        assert loss_from_errors([4.0, 9.0], LossSpec(p=2.0)) == pytest.approx(math.sqrt(97))
 
     def test_weights(self):
-        est, tr = self.estimates_with_errors([4.0, 9.0])
         loss = LossSpec(p=1.0, weights=(2.0, 1.0))
-        assert compute_loss(est, tr, loss) == pytest.approx(17.0)
+        assert loss_from_errors([4.0, 9.0], loss) == pytest.approx(17.0)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(1)
@@ -155,8 +139,10 @@ class TestComputeLoss:
                 assert b <= a + 1e-12
 
     def test_missing_estimate_counts_as_zero(self):
-        est, tr = self.estimates_with_errors([4.0, 9.0])
-        assert compute_loss(est[:1], tr, LossSpec(p=1.0)) == pytest.approx(4.0)
+        state = arm(6, math.inf, 0)
+        assert state.current is None
+        expected = float(np.sum(state.truth.entries ** 2))
+        assert _true_errors([state]) == [expected]
 
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
@@ -169,10 +155,10 @@ class TestDoublingRuns:
     def test_single_arm_doubles(self):
         truths = make_problem([20], [2], seed=5)
         n = 2000
-        _, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
-            Doubling(), FAST_CFG, SplitMode.HALVES, rng=3,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
         )
+        _, trace = malocate_run(truths, spec, rng=3)
         base = initial_batch(20)
         spent = [e.t_values[0] for e in trace.events]
         expected = []
@@ -187,10 +173,11 @@ class TestDoublingRuns:
     def test_budget_accounting(self):
         truths = make_problem([16, 20], [2, 2], seed=6)
         n = 1500
-        _, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=math.inf), n,
-            Doubling(), FAST_CFG, SplitMode.HALVES, rng=4,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=math.inf), n,
+            Doubling(), FAST_CFG, SplitMode.HALVES,
         )
+        _, trace = malocate_run(truths, spec, rng=4)
         for event in trace.events:
             assert sum(event.t_values) == event.t
             assert event.t <= n
@@ -200,28 +187,29 @@ class TestDoublingRuns:
 
     def test_budget_too_small_rejected(self):
         truths = make_problem([30, 30], [2, 2])
+        spec = RunSpec(
+            NoiseModel.none(), LossSpec(p=1.0), 100, Doubling(), FAST_CFG, SplitMode.HALVES
+        )
         with pytest.raises(ValueError):
-            malocate_run(
-                truths, NoiseModel.none(), LossSpec(p=1.0), 100,
-                Doubling(), FAST_CFG, SplitMode.HALVES, rng=0,
-            )
+            malocate_run(truths, spec, rng=0)
 
     def test_caps_end_run_early(self):
         truths = make_problem([8, 8], [1, 1], seed=7)
         n = 8 * 8 * 4  # far more than both caps
-        _, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.05), LossSpec(p=1.0), n,
-            Doubling(), FAST_CFG, SplitMode.HALVES, rng=5,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.05), LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
         )
+        _, trace = malocate_run(truths, spec, rng=5)
         assert trace.ended_early
         assert trace.events[-1].t_values == (64, 64)
 
     def test_b_monotone_and_guarded_updates(self):
         truths = make_problem([20, 24], [2, 3], seed=8)
-        estimates, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=math.inf), 3000,
-            Doubling(), FAST_CFG, SplitMode.HALVES, rng=6,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=math.inf), 3000,
+            Doubling(), FAST_CFG, SplitMode.HALVES,
         )
+        estimates, trace = malocate_run(truths, spec, rng=6)
         prev_b = (math.inf, math.inf)
         prev_err = None
         for event in trace.events:
@@ -245,11 +233,12 @@ class TestDoublingRuns:
         truths = make_problem([30, 30], [2, 2], seed=9)
         n = 2 * 30 * 30
         cfg = EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9)
-        estimates, trace = malocate_run(
-            truths, NoiseModel.none(), LossSpec(p=math.inf), n,
+        spec = RunSpec(
+            NoiseModel.none(), LossSpec(p=math.inf), n,
             Discretized(8, 20, reuse_samples=True), cfg,
-            SplitMode.BY_MULTIPLICITY, rng=7, scale=0.0625,
+            SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
+        estimates, trace = malocate_run(truths, spec, rng=7)
         errors = [
             float(np.sum((est.values - gt.entries) ** 2)) / 30**2
             for est, gt in zip(estimates, truths)
@@ -265,11 +254,12 @@ class TestDiscretizedRuns:
         # d^2 clamp cannot bind whatever the chooser does:
         # n - (K - 1) * init = 720 - 320 <= 400
         n = 720
-        _, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
             Discretized(init_multiplier=8, num_batches=10), FAST_CFG,
-            SplitMode.BY_MULTIPLICITY, rng=8, scale=0.0625,
+            SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
+        _, trace = malocate_run(truths, spec, rng=8)
         init = [e.batch for e in trace.events[:3]]
         assert init == [160, 160, 160]
         free = n - 480
@@ -283,11 +273,12 @@ class TestDiscretizedRuns:
     def test_uniform_round_robin_equalizes(self):
         truths = make_problem([16, 16, 16, 16], [2, 2, 2, 2], seed=11)
         n = 2000
-        _, trace = uniform_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
             Discretized(init_multiplier=8, num_batches=12), FAST_CFG,
-            SplitMode.BY_MULTIPLICITY, rng=9, scale=0.0625,
+            SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
+        _, trace = uniform_run(truths, spec, rng=9)
         final = trace.events[-1].t_values
         sub = math.ceil((n - 4 * 128) / 12)
         assert max(final) - min(final) <= sub
@@ -295,23 +286,24 @@ class TestDiscretizedRuns:
     def test_single_arm_strategies_agree(self):
         truths = make_problem([20], [2], seed=12)
         n = 1200
-        args = (
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
-            Discretized(8, 8), FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            Discretized(8, 8), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
-        _, t_mal = malocate_run(*args, rng=10, scale=0.0625)
-        _, t_uni = uniform_run(*args, rng=10, scale=0.0625)
+        _, t_mal = malocate_run(truths, spec, rng=10)
+        _, t_uni = uniform_run(truths, spec, rng=10)
         assert [e.t_values for e in t_mal.events] == [e.t_values for e in t_uni.events]
         assert [e.loss_p1 for e in t_mal.events] == [e.loss_p1 for e in t_uni.events]
 
     def test_reuse_accumulates_training_data(self):
         truths = make_problem([20], [2], seed=13)
         n = 1000
-        _, trace = malocate_run(
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
             Discretized(8, 5, reuse_samples=True), FAST_CFG,
-            SplitMode.HALVES, rng=11, scale=0.0625,
+            SplitMode.HALVES, scale=0.0625,
         )
+        _, trace = malocate_run(truths, spec, rng=11)
         # under HALVES with reuse, trained_on grows with accumulated data
         assert trace.events[-1].t_values[0] == min(n, 400)
 
@@ -323,15 +315,15 @@ class TestInitClampedToCap:
     def test_budget_of_clamped_init(self, dim, schedule):
         truths = make_problem([dim, dim], [1, 1], seed=15)
         n = 2 * dim * dim
-        common = (
-            truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, schedule,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, schedule,
             FAST_CFG, SplitMode.BY_MULTIPLICITY,
         )
-        _, trace = malocate_run(*common, rng=13)
+        _, trace = malocate_run(truths, spec, rng=13)
         assert [e.batch for e in trace.events] == [dim * dim, dim * dim]
         assert trace.events[-1].t == n
         with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
-            malocate_run(*common[:3], n - 1, *common[4:], rng=13)
+            malocate_run(truths, replace(spec, budget=n - 1), rng=13)
 
 
 class TestOracleRun:
@@ -342,10 +334,11 @@ class TestOracleRun:
         # equal split: the free budget fits in one arm's remaining
         # capacity, n - 2 * 192 <= 576 - 192, i.e. n <= 768
         n = 768
-        _, trace = oracle_run(
-            truths, NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
-            Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY, rng=12,
+        spec = RunSpec(
+            NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
+            Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY,
         )
+        _, trace = oracle_run(truths, spec, rng=12)
         final = trace.events[-1].t_values
         assert final[0] > final[1]
 
@@ -356,12 +349,12 @@ class TestOracleRun:
         for seed in seeds:
             truths = make_problem([20, 20], [5, 1], seed=seed)
             n = 800
-            common = (
-                truths, NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
-                Discretized(8, 10), FAST_CFG, SplitMode.BY_MULTIPLICITY,
+            spec = RunSpec(
+                NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
+                Discretized(8, 10), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
             )
-            _, t_orc = oracle_run(*common, rng=100 + seed, scale=0.0625)
-            _, t_mal = malocate_run(*common, rng=100 + seed, scale=0.0625)
+            _, t_orc = oracle_run(truths, spec, rng=100 + seed)
+            _, t_mal = malocate_run(truths, spec, rng=100 + seed)
             if t_orc.events[-1].loss_pinf <= t_mal.events[-1].loss_pinf:
                 wins += 1
         assert wins >= len(seeds) // 2
@@ -375,11 +368,12 @@ class TestGoodAllocation:
         for seed in range(10):
             truths = make_problem([40, 40], [8, 1], seed=20 + seed)
             n = 2600
-            _, trace = malocate_run(
-                truths, NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            spec = RunSpec(
+                NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
                 Discretized(8, 30), EstimatorConfig(max_iters=80, tol=1e-4),
-                SplitMode.BY_MULTIPLICITY, rng=200 + seed, scale=0.0625,
+                SplitMode.BY_MULTIPLICITY, scale=0.0625,
             )
+            _, trace = malocate_run(truths, spec, rng=200 + seed)
             final = trace.events[-1].t_values
             ratios.append(final[0] / final[1])
         median = float(np.median(ratios))
