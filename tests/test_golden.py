@@ -1,9 +1,13 @@
-"""Golden gate: tiny pinned configs must reproduce their stored metrics.csv.
+"""Golden gate: tiny pinned configs must reproduce their stored
+metrics.csv (``<name>.csv``) and summary.csv (``<name>.summary.csv``).
 
 Together the configs cover both schedules, both splits, sample reuse on
 and off, every strategy with and without loss weights, and arms that hit
-their d^2 cap (in the initialization and later). Integer columns must
-match exactly and float columns to a relative 1e-9, inf matching inf.
+their d^2 cap (in the initialization and later). The Doubling configs
+run two reps whose t-grids differ, and the two ``oracle`` strategies
+share one summary label, so the first of them in (rep, strategy) order
+is the one summarized. Text and integer columns must match exactly and
+float columns to a relative 1e-9, inf matching inf.
 
 Regenerate the stored files (only when a change of numerics is
 intended) with:
@@ -13,6 +17,7 @@ intended) with:
 import csv
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,8 +29,10 @@ from amcsim import (
     ExperimentConfig,
     SplitMode,
     StrategySpec,
+    aggregate,
     run_experiment,
     write_metrics_csv,
+    write_summary_csv,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -83,9 +90,19 @@ CONFIGS = {
     ),
 }
 
-INT_COLUMNS = ("rep", "seed", "t", "k", "T_k")
-FLOAT_COLUMNS = ("B_k", "true_err_k", "loss_p1", "loss_pinf")
-TEXT_COLUMNS = ("experiment", "strategy", "p")
+# (text and int columns, float columns) of each output file.
+METRICS_COLUMNS = (
+    ("experiment", "strategy", "p", "rep", "seed", "t", "k", "T_k"),
+    ("B_k", "true_err_k", "loss_p1", "loss_pinf"),
+)
+SUMMARY_COLUMNS = (
+    ("strategy", "p", "t", "n_reps"),
+    tuple(
+        f"{loss}_{stat}"
+        for loss in ("loss_p1", "loss_pinf")
+        for stat in ("median", "mean", "q25", "q75")
+    ),
+)
 
 
 def _read(path):
@@ -93,16 +110,14 @@ def _read(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_metrics_match_golden(name, tmp_path):
-    path = tmp_path / "metrics.csv"
-    write_metrics_csv(run_experiment(CONFIGS[name]), str(path))
-    got, want = _read(path), _read(GOLDEN_DIR / f"{name}.csv")
+def _assert_matches(got_path, want_path, columns):
+    exact, floats = columns
+    got, want = _read(got_path), _read(want_path)
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        for col in TEXT_COLUMNS + INT_COLUMNS:
+        for col in exact:
             assert g[col] == w[col], (i, col)
-        for col in FLOAT_COLUMNS:
+        for col in floats:
             gv, wv = float(g[col]), float(w[col])
             if math.isinf(wv):
                 assert gv == wv, (i, col)
@@ -110,8 +125,24 @@ def test_metrics_match_golden(name, tmp_path):
                 assert gv == pytest.approx(wv, rel=1e-9, abs=0.0), (i, col)
 
 
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_metrics_match_golden(name, tmp_path):
+    run_experiment(replace(CONFIGS[name], out_dir=str(tmp_path)))
+    _assert_matches(tmp_path / "metrics.csv", GOLDEN_DIR / f"{name}.csv", METRICS_COLUMNS)
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_summary_matches_golden(name, tmp_path):
+    run_experiment(replace(CONFIGS[name], out_dir=str(tmp_path)))
+    _assert_matches(
+        tmp_path / "summary.csv", GOLDEN_DIR / f"{name}.summary.csv", SUMMARY_COLUMNS
+    )
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, cfg in CONFIGS.items():
-        write_metrics_csv(run_experiment(cfg), str(GOLDEN_DIR / f"{name}.csv"))
-        print(f"wrote {GOLDEN_DIR / name}.csv", file=sys.stderr)
+        result = run_experiment(cfg)
+        write_metrics_csv(result, str(GOLDEN_DIR / f"{name}.csv"))
+        write_summary_csv(aggregate(result), str(GOLDEN_DIR / f"{name}.summary.csv"))
+        print(f"wrote {GOLDEN_DIR / name}.csv and .summary.csv", file=sys.stderr)
