@@ -16,6 +16,7 @@ from .estimators import (
 )
 from .harness import (
     ExperimentConfig,
+    ExperimentResult,
     MetricsRow,
     StrategySpec,
     aggregate,

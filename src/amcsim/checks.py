@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from dataclasses import astuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .estimators import (
 from .harness import (
     ExperimentConfig,
     StrategySpec,
+    _rep_seed,
     aggregate,
     read_metrics_csv,
     run_experiment,
@@ -93,17 +95,13 @@ def _doubling_trace():
 
 def check_b_monotonicity() -> str | None:
     cfg = _tiny_config()
-    _, traces = run_experiment(cfg, keep_traces=True)
-    for (rep, s_idx), trace in traces.items():
+    for rep, strategy, trace in run_experiment(cfg).jobs:
         K = cfg.num_matrices
         prev = [math.inf] * K
         for event in trace.events:
             for pos in range(K):
                 if event.b_values[pos] > prev[pos]:
-                    return (
-                        f"B increased for arm {pos} in rep {rep}, "
-                        f"strategy {cfg.strategies[s_idx].label}"
-                    )
+                    return f"B increased for arm {pos} in rep {rep}, strategy {strategy.label}"
             prev = list(event.b_values)
     return None
 
@@ -181,26 +179,31 @@ def check_loss_p_monotonicity() -> str | None:
 
 def check_csv_round_trip() -> str | None:
     cfg = _tiny_config(reps=1)
-    rows = run_experiment(cfg)
+    result = run_experiment(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "metrics.csv")
-        write_metrics_csv(rows, path)
-        back = read_metrics_csv(path)
-    if back != rows:
-        return "rows changed across write/read"
-    aggregate(rows)  # must not raise
+        write_metrics_csv(result, path)
+        back = [astuple(row) for row in read_metrics_csv(path)]
+    want = [
+        (cfg.experiment, strategy.kind, strategy.p, rep, _rep_seed(cfg.seed, rep), event.t,
+         pos + 1, event.t_values[pos], event.b_values[pos], event.true_errors[pos],
+         event.loss_p1, event.loss_pinf)
+        for rep, strategy, trace in result.jobs
+        for event in trace.events
+        for pos in range(cfg.num_matrices)
+    ]
+    if back != want:
+        return "trace values changed across write/read"
+    aggregate(result)  # must not raise
     return None
 
 
 def check_paired_generation() -> str | None:
-    cfg = _tiny_config()
-    _, traces = run_experiment(cfg, keep_traces=True)
-    for rep in range(cfg.reps):
-        hashes = {
-            traces[(rep, s_idx)].truth_hashes
-            for s_idx in range(len(cfg.strategies))
-        }
-        if len(hashes) != 1:
+    hashes: dict[int, set] = {}
+    for rep, _, trace in run_experiment(_tiny_config()).jobs:
+        hashes.setdefault(rep, set()).add(trace.truth_hashes)
+    for rep, seen in hashes.items():
+        if len(seen) != 1:
             return f"strategies saw different ground truths in rep {rep}"
     return None
 

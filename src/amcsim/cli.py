@@ -63,8 +63,8 @@ def main(argv=None) -> int:
         if args.reps is not None:
             cfg = replace(cfg, reps=args.reps)
         cfg = replace(cfg, out_dir=args.out)
-        rows = run_experiment(cfg, threads=args.threads)
-        print(f"wrote {len(rows)} metric rows to {args.out}")
+        result = run_experiment(cfg, threads=args.threads)
+        print(f"wrote {len(result)} metric rows to {args.out}")
         return 0
     except (ValueError, OSError) as exc:
         print(f"amcsim: error: {exc}", file=sys.stderr)

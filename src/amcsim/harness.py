@@ -1,13 +1,17 @@
 """Experiment orchestration: configs, presets, repetitions, CSV output.
 
 A run of an experiment executes every configured strategy on the same
-per-repetition ground truths (paired comparison) and logs one metrics
-row per (refit event, matrix). Aggregation reduces the rows to
+per-repetition ground truths (paired comparison) and keeps each job's
+``RunTrace``; the traces are the only in-memory record of a run.
+metrics.csv is written straight from their events, one row per (refit
+event, matrix), and aggregation reduces the events to
 median/mean/quartile curves of the two losses against spent budget.
+``MetricsRow`` is what ``read_metrics_csv`` parses a file back into.
 """
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -37,6 +41,7 @@ __all__ = [
     "StrategySpec",
     "ExperimentConfig",
     "MetricsRow",
+    "ExperimentResult",
     "preset_experiment_1",
     "preset_experiment_2",
     "scaled",
@@ -166,7 +171,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MetricsRow:
-    """One (refit event, matrix) record of a run."""
+    """One (refit event, matrix) row of a metrics.csv, as read back."""
 
     experiment: str
     strategy: str
@@ -254,88 +259,55 @@ def _execute_strategy(
     return runner[strategy.kind](truths, spec, (cfg.seed, rep, _ROLE_OBS, s_idx))
 
 
-def _rows_from_trace(
-    cfg: ExperimentConfig,
-    strategy: StrategySpec,
-    rep: int,
-    trace: RunTrace,
-) -> list[MetricsRow]:
-    seed = _rep_seed(cfg.seed, rep)
-    specs = cfg.specs()
-    rows = []
-    for event in trace.events:
-        for pos, spec in enumerate(specs):
-            rows.append(
-                MetricsRow(
-                    experiment=cfg.experiment,
-                    strategy=strategy.kind,
-                    p=strategy.p,
-                    rep=rep,
-                    seed=seed,
-                    t=event.t,
-                    k=spec.index,
-                    T_k=event.t_values[pos],
-                    B_k=event.b_values[pos],
-                    true_err_k=event.true_errors[pos],
-                    loss_p1=event.loss_p1,
-                    loss_pinf=event.loss_pinf,
-                )
-            )
-    return rows
+@dataclass(frozen=True)
+class ExperimentResult:
+    """The run traces of an experiment, one per (rep, strategy) job.
+
+    ``jobs`` holds ``(rep, strategy, trace)`` in (rep, strategy) order,
+    the order of metrics.csv. ``len()`` is the number of metrics rows:
+    one per (job, event, matrix).
+    """
+
+    cfg: ExperimentConfig
+    jobs: tuple[tuple[int, StrategySpec, RunTrace], ...]
+
+    def __len__(self) -> int:
+        return self.cfg.num_matrices * sum(len(trace.events) for _, _, trace in self.jobs)
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    threads: int = 1,
-    keep_traces: bool = False,
-):
+def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Run all configured strategies for every repetition.
 
     Ground truths are generated once per repetition and shared by all
-    strategies, so strategy comparisons are paired. Returns the metrics
-    rows (and the traces when ``keep_traces``); when the config names an
-    output directory, metrics.csv, summary.csv and config.echo.json are
-    written there.
+    strategies, so strategy comparisons are paired. Returns an
+    ``ExperimentResult`` holding every job's trace. When the config
+    names an output directory, metrics.csv and summary.csv are written
+    there from those traces, next to config.echo.json.
     """
-    jobs = [
-        (rep, s_idx)
-        for rep in range(cfg.reps)
-        for s_idx in range(len(cfg.strategies))
-    ]
-
     truths_by_rep = {rep: _rep_truths(cfg, rep) for rep in range(cfg.reps)}
 
     def execute(job):
         rep, s_idx = job
         strategy = cfg.strategies[s_idx]
         _, trace = _execute_strategy(cfg, strategy, truths_by_rep[rep], rep, s_idx)
-        return job, trace
+        return rep, strategy, trace
 
-    results = {}
+    jobs = [(rep, s_idx) for rep in range(cfg.reps) for s_idx in range(len(cfg.strategies))]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for job, trace in pool.map(execute, jobs):
-                results[job] = trace
+            done = list(pool.map(execute, jobs))  # in submission order
     else:
-        for job in jobs:
-            job, trace = execute(job)
-            results[job] = trace
-
-    rows: list[MetricsRow] = []
-    for rep, s_idx in jobs:  # deterministic (rep, strategy) order
-        rows.extend(_rows_from_trace(cfg, cfg.strategies[s_idx], rep, results[(rep, s_idx)]))
+        done = [execute(job) for job in jobs]
+    result = ExperimentResult(cfg, tuple(done))
 
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
-        write_metrics_csv(rows, os.path.join(cfg.out_dir, "metrics.csv"))
-        write_summary_csv(aggregate(rows), os.path.join(cfg.out_dir, "summary.csv"))
+        write_metrics_csv(result, os.path.join(cfg.out_dir, "metrics.csv"))
+        write_summary_csv(aggregate(result), os.path.join(cfg.out_dir, "summary.csv"))
         with open(os.path.join(cfg.out_dir, "config.echo.json"), "w") as fh:
             json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    if keep_traces:
-        return rows, results
-    return rows
+    return result
 
 
 def _fmt_float(x: float) -> str:
@@ -348,28 +320,33 @@ def _fmt_p(p: float | None) -> str:
     return "inf" if math.isinf(p) else f"{p:.17g}"
 
 
-def write_metrics_csv(rows: list[MetricsRow], path: str) -> None:
-    """Write rows under the fixed schema, floats at 17 significant digits."""
+def write_metrics_csv(result: ExperimentResult, path: str) -> None:
+    """Write one row per (job, event, matrix), floats at 17 significant digits.
+
+    The columns an event shares are formatted once, so each matrix costs
+    a single ``%`` format; text columns are quoted as ``csv.writer``
+    quotes them. The file is written one event at a time.
+    """
+    cfg = result.cfg
+    ks = [spec.index for spec in cfg.specs()]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER.split(","))
-        for r in rows:
-            writer.writerow(
-                [
-                    r.experiment,
-                    r.strategy,
-                    _fmt_p(r.p),
-                    r.rep,
-                    r.seed,
-                    r.t,
-                    r.k,
-                    r.T_k,
-                    _fmt_float(r.B_k),
-                    _fmt_float(r.true_err_k),
-                    _fmt_float(r.loss_p1),
-                    _fmt_float(r.loss_pinf),
-                ]
+        fh.write(METRICS_HEADER + "\n")
+        for rep, strategy, trace in result.jobs:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerow(
+                [cfg.experiment, strategy.kind, _fmt_p(strategy.p), rep, _rep_seed(cfg.seed, rep)]
             )
+            # A '%' in the experiment name must survive the row format.
+            head = buf.getvalue()[:-1].replace("%", "%%")
+            for event in trace.events:
+                line = (
+                    f"{head},{event.t},%d,%d,%.17g,%.17g,"
+                    f"{_fmt_float(event.loss_p1)},{_fmt_float(event.loss_pinf)}\n"
+                )
+                fh.write("".join(
+                    line % arm
+                    for arm in zip(ks, event.t_values, event.b_values, event.true_errors)
+                ))
 
 
 def read_metrics_csv(path: str) -> list[MetricsRow]:
@@ -393,37 +370,39 @@ SUMMARY_HEADER = (
 )
 
 
-def aggregate(rows: list[MetricsRow]) -> list[dict]:
-    """Per (strategy, p, t): median/mean/quartiles of both losses over reps."""
-    if not rows:
-        raise ValueError("no rows to aggregate")
+def aggregate(result: ExperimentResult) -> list[dict]:
+    """Per (strategy, p, t): median/mean/quartiles of both losses over reps.
+
+    A strategy is labelled by its kind and p. When two jobs of one rep
+    share a label and reach the same t, the first in (rep, strategy)
+    order counts.
+    """
     per_rep: dict[tuple, dict[int, tuple[float, float]]] = {}
-    for r in rows:
-        group = per_rep.setdefault((r.strategy, r.p, r.t), {})
-        group.setdefault(r.rep, (r.loss_p1, r.loss_pinf))
-    out = []
-    for (strategy, p, t) in sorted(
-        per_rep, key=lambda g: (g[0], math.inf if g[1] is None else g[1], g[2])
-    ):
-        losses = per_rep[(strategy, p, t)]
-        l1 = np.array([v[0] for v in losses.values()])
-        linf = np.array([v[1] for v in losses.values()])
-        out.append(
-            {
-                "strategy": strategy,
-                "p": p,
-                "t": t,
-                "n_reps": len(losses),
-                "loss_p1_median": float(np.median(l1)),
-                "loss_p1_mean": float(np.mean(l1)),
-                "loss_p1_q25": float(np.percentile(l1, 25)),
-                "loss_p1_q75": float(np.percentile(l1, 75)),
-                "loss_pinf_median": float(np.median(linf)),
-                "loss_pinf_mean": float(np.mean(linf)),
-                "loss_pinf_q25": float(np.percentile(linf, 25)),
-                "loss_pinf_q75": float(np.percentile(linf, 75)),
+    for rep, strategy, trace in result.jobs:
+        for event in trace.events:
+            group = per_rep.setdefault((strategy.kind, strategy.p, event.t), {})
+            group.setdefault(rep, (event.loss_p1, event.loss_pinf))
+    if not per_rep:
+        raise ValueError("no events to aggregate")
+    keys = sorted(per_rep, key=lambda g: (g[0], math.inf if g[1] is None else g[1], g[2]))
+    by_count: dict[int, list[int]] = {}
+    for i, key in enumerate(keys):
+        by_count.setdefault(len(per_rep[key]), []).append(i)
+    stat_cols = SUMMARY_HEADER.split(",")[4:]
+    out: list[dict | None] = [None] * len(keys)
+    for n_reps, idx in by_count.items():
+        # losses[key, loss, rep] with reps contiguous and in ascending
+        # order, so one call per statistic over all keys with n_reps reps
+        # gives what a call on each key's reps alone gives.
+        losses = np.array([list(zip(*per_rep[keys[i]].values())) for i in idx])
+        q25, q75 = np.percentile(losses, [25, 75], axis=-1)
+        stats = np.stack([np.median(losses, axis=-1), np.mean(losses, axis=-1), q25, q75], -1)
+        for i, values in zip(idx, stats.reshape(len(idx), -1).tolist()):
+            strategy, p, t = keys[i]
+            out[i] = {
+                "strategy": strategy, "p": p, "t": t, "n_reps": n_reps,
+                **dict(zip(stat_cols, values)),
             }
-        )
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,7 +157,7 @@ class ArmState:
     def dim(self) -> int:
         return self.truth.spec.dim
 
-    @property
+    @cached_property
     def cap(self) -> int:
         """Observation cap d^2: no matrix is ever sampled more than this.
 
@@ -284,6 +285,8 @@ def _run(
     key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
     streams = [named_stream(*key, pos) for pos in range(K)]
     states = [ArmState(truth=gt) for gt in problem]
+    loss_p1 = LossSpec(p=1, weights=loss.weights)
+    loss_pinf = LossSpec(p=math.inf, weights=loss.weights)
     trace = RunTrace(
         strategy=strategy,
         truth_hashes=tuple(
@@ -330,8 +333,8 @@ def _run(
                 b_values=tuple(s.band for s in states),
                 t_values=tuple(s.samples_spent for s in states),
                 true_errors=tuple(e / s.cap for e, s in zip(errors, states)),
-                loss_p1=loss_from_errors(errors, LossSpec(p=1, weights=loss.weights)),
-                loss_pinf=loss_from_errors(errors, LossSpec(p=math.inf, weights=loss.weights)),
+                loss_p1=loss_from_errors(errors, loss_p1),
+                loss_pinf=loss_from_errors(errors, loss_pinf),
             )
         )
 

@@ -1,6 +1,8 @@
+import csv
+import io
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from amcsim import (
     Doubling,
     EstimatorConfig,
     ExperimentConfig,
+    ExperimentResult,
     LossSpec,
     SplitMode,
     StrategySpec,
@@ -26,7 +29,7 @@ from amcsim import (
     scaled,
     write_metrics_csv,
 )
-from amcsim.harness import METRICS_HEADER
+from amcsim.harness import METRICS_HEADER, _rep_seed
 
 
 def tiny_config(**overrides):
@@ -49,6 +52,61 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def run_rows(cfg, out):
+    """Run ``cfg`` with output to ``out`` and read its metrics.csv back."""
+    run_experiment(replace(cfg, out_dir=str(out)))
+    return read_metrics_csv(str(out / "metrics.csv"))
+
+
+def trace_rows(result):
+    """The metrics.csv rows of a result, as tuples of its trace values."""
+    cfg = result.cfg
+    return [
+        (cfg.experiment, strategy.kind, strategy.p, rep, _rep_seed(cfg.seed, rep), event.t,
+         pos + 1, event.t_values[pos], event.b_values[pos], event.true_errors[pos],
+         event.loss_p1, event.loss_pinf)
+        for rep, strategy, trace in result.jobs
+        for event in trace.events
+        for pos in range(cfg.num_matrices)
+    ]
+
+
+def csv_writer_bytes(result):
+    """metrics.csv of a result as ``csv.writer`` writes it, row by row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(METRICS_HEADER.split(","))
+    for exp, kind, p, rep, seed, t, k, T_k, *floats in trace_rows(result):
+        p = "" if p is None else f"{p:.17g}"
+        writer.writerow([exp, kind, p, rep, seed, t, k, T_k, *(f"{x:.17g}" for x in floats)])
+    return buf.getvalue().encode()
+
+
+def loop_aggregate(result):
+    """Summary entries computed one (strategy, p, t) group at a time."""
+    per_rep = {}
+    for rep, strategy, trace in result.jobs:
+        for event in trace.events:
+            group = per_rep.setdefault((strategy.kind, strategy.p, event.t), {})
+            group.setdefault(rep, (event.loss_p1, event.loss_pinf))
+    out = []
+    for key in sorted(per_rep, key=lambda g: (g[0], math.inf if g[1] is None else g[1], g[2])):
+        entry = dict(zip(("strategy", "p", "t"), key), n_reps=len(per_rep[key]))
+        for j, loss in enumerate(("loss_p1", "loss_pinf")):
+            v = np.array([pair[j] for pair in per_rep[key].values()])
+            entry[f"{loss}_median"] = float(np.median(v))
+            entry[f"{loss}_mean"] = float(np.mean(v))
+            entry[f"{loss}_q25"] = float(np.percentile(v, 25))
+            entry[f"{loss}_q75"] = float(np.percentile(v, 75))
+        out.append(entry)
+    return out
+
+
+@pytest.fixture(scope="module")
+def one_rep_result():
+    return run_experiment(tiny_config(reps=1))
 
 
 @st.composite
@@ -130,9 +188,9 @@ class TestPresets:
 
 
 class TestRunExperiment:
-    def test_row_partition(self):
+    def test_row_partition(self, tmp_path):
         cfg = tiny_config()
-        rows = run_experiment(cfg)
+        rows = run_rows(cfg, tmp_path)
         groups = {}
         for r in rows:
             groups.setdefault((r.rep, r.strategy, r.p), []).append(r)
@@ -142,17 +200,17 @@ class TestRunExperiment:
             assert len(group) % K == 0
             assert len(group) // K >= K  # at least one event per arm
 
-    def test_event_time_monotone(self):
-        rows = run_experiment(tiny_config())
+    def test_event_time_monotone(self, tmp_path):
+        rows = run_rows(tiny_config(), tmp_path)
         per_group = {}
         for r in rows:
             per_group.setdefault((r.rep, r.strategy, r.p, r.k), []).append(r.t)
         for times in per_group.values():
             assert all(a < b for a, b in zip(times, times[1:]))
 
-    def test_losses_match_true_errors(self):
+    def test_losses_match_true_errors(self, tmp_path):
         cfg = tiny_config(reps=1)
-        rows = run_experiment(cfg)
+        rows = run_rows(cfg, tmp_path)
         dims = {k + 1: d for k, d in enumerate(cfg.dims)}
         by_event = {}
         for r in rows:
@@ -170,19 +228,21 @@ class TestRunExperiment:
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
-    def test_threads_do_not_change_rows(self):
-        cfg = tiny_config()
-        assert run_experiment(cfg) == run_experiment(cfg, threads=3)
+    def test_threads_do_not_change_rows(self, tmp_path):
+        one, three = tmp_path / "one", tmp_path / "three"
+        run_experiment(tiny_config(out_dir=str(one)))
+        run_experiment(tiny_config(out_dir=str(three)), threads=3)
+        for name in ("metrics.csv", "summary.csv"):
+            assert (one / name).read_bytes() == (three / name).read_bytes()
 
     def test_paired_ground_truths(self):
         cfg = tiny_config(reps=2)
-        _, traces = run_experiment(cfg, keep_traces=True)
-        for rep in range(cfg.reps):
-            hashes = {
-                traces[(rep, s)].truth_hashes for s in range(len(cfg.strategies))
-            }
-            assert len(hashes) == 1
-        assert traces[(0, 0)].truth_hashes != traces[(1, 0)].truth_hashes
+        hashes = {}
+        for rep, _, trace in run_experiment(cfg).jobs:
+            hashes.setdefault(rep, set()).add(trace.truth_hashes)
+        assert sorted(hashes) == [0, 1]
+        assert all(len(seen) == 1 for seen in hashes.values())
+        assert hashes[0] != hashes[1]
 
     def test_output_files(self, tmp_path):
         out = tmp_path / "run"
@@ -195,42 +255,53 @@ class TestRunExperiment:
 
 
 class TestMetricsCsv:
-    def test_round_trip(self, tmp_path):
-        rows = run_experiment(tiny_config(reps=1))
+    def test_round_trip(self, tmp_path, one_rep_result):
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, str(path))
-        assert read_metrics_csv(str(path)) == rows
+        write_metrics_csv(one_rep_result, str(path))
+        back = [astuple(r) for r in read_metrics_csv(str(path))]
+        assert back == trace_rows(one_rep_result)
+        assert len(back) == len(one_rep_result)
 
-    def test_header_schema(self, tmp_path):
-        rows = run_experiment(tiny_config(reps=1))
+    # Text columns need csv quoting; a '%' must survive the row format.
+    @pytest.mark.parametrize("name", ["tiny", 'a,"b"', "100%d %s", "two\nlines", " ", ""])
+    def test_bytes_match_csv_writer(self, tmp_path, one_rep_result, name):
+        result = replace(one_rep_result, cfg=replace(one_rep_result.cfg, experiment=name))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, str(path))
+        write_metrics_csv(result, str(path))
+        assert path.read_bytes() == csv_writer_bytes(result)
+        assert {r.experiment for r in read_metrics_csv(str(path))} == {name}
+
+    def test_header_schema(self, tmp_path, one_rep_result):
+        path = tmp_path / "metrics.csv"
+        write_metrics_csv(one_rep_result, str(path))
         first = path.read_text().splitlines()[0]
         assert first == METRICS_HEADER
         assert first == "experiment,strategy,p,rep,seed,t,k,T_k,B_k,true_err_k,loss_p1,loss_pinf"
 
-    def test_infinite_band_round_trips(self, tmp_path):
-        rows = run_experiment(tiny_config(reps=1))
-        assert any(math.isinf(r.B_k) for r in rows)  # pre-init arms logged as inf
+    def test_infinite_band_round_trips(self, tmp_path, one_rep_result):
+        B_k = 8  # column of trace_rows
+        # Arms not yet initialized are logged with an infinite band.
+        assert any(math.isinf(row[B_k]) for row in trace_rows(one_rep_result))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(rows, str(path))
+        write_metrics_csv(one_rep_result, str(path))
         back = read_metrics_csv(str(path))
         assert any(math.isinf(r.B_k) for r in back)
 
 
 class TestAggregate:
-    def test_single_rep_degenerate(self):
-        rows = run_experiment(tiny_config(reps=1))
-        for entry in aggregate(rows):
+    def test_single_rep_degenerate(self, one_rep_result):
+        for entry in aggregate(one_rep_result):
             assert entry["n_reps"] == 1
             assert entry["loss_p1_median"] == entry["loss_p1_mean"]
 
     def test_median_of_two(self):
-        rows = run_experiment(tiny_config(reps=2))
-        summary = aggregate(rows)
+        result = run_experiment(tiny_config(reps=2))
+        summary = aggregate(result)
         per_rep = {}
-        for r in rows:
-            per_rep.setdefault((r.strategy, r.p, r.t), {}).setdefault(r.rep, r.loss_p1)
+        for rep, strategy, trace in result.jobs:
+            for event in trace.events:
+                group = per_rep.setdefault((strategy.kind, strategy.p, event.t), {})
+                group.setdefault(rep, event.loss_p1)
         for entry in summary:
             values = per_rep[(entry["strategy"], entry["p"], entry["t"])]
             if len(values) == 2:
@@ -238,13 +309,27 @@ class TestAggregate:
                     np.mean(list(values.values()))
                 )
 
-    def test_duplicate_runs_aggregate_identically(self):
-        rows = run_experiment(tiny_config(reps=1))
-        assert aggregate(rows) == aggregate(list(rows))
+    def test_duplicate_runs_aggregate_identically(self, one_rep_result):
+        assert aggregate(one_rep_result) == aggregate(run_experiment(tiny_config(reps=1)))
+
+    def test_matches_per_group_loop(self):
+        # Doubling t-grids differ between reps, so groups hold different
+        # rep counts, up to 9 (where numpy sums pairwise); the two oracles
+        # share a label.
+        cfg = tiny_config(
+            dims=(8, 10), schedule=Doubling(), budget=200, reps=9,
+            strategies=(StrategySpec("malocate", p=1.0), StrategySpec("oracle"),
+                        StrategySpec("oracle", weights=(1.0, 3.0))),
+        )
+        result = run_experiment(cfg)
+        summary = aggregate(result)
+        assert summary == loop_aggregate(result)
+        counts = {entry["n_reps"] for entry in summary}
+        assert cfg.reps in counts and len(counts) > 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate(ExperimentResult(tiny_config(), ()))
 
 
 class TestConfigSerialization:

@@ -1,0 +1,78 @@
+"""The names and results that bench/tracing.py relies on.
+
+The tracer wraps the package's layer boundaries by name from outside
+the package and reads the run's result and traces. A traced in-process
+run must patch the same 14 names, count every metrics.csv row and see
+the refits.
+"""
+import importlib.util
+import json
+import math
+from pathlib import Path
+
+import numpy
+import pytest
+
+import amcsim.cli as cli
+import amcsim.harness as harness
+import amcsim.strategies as strategies
+from amcsim import Discretized, EstimatorConfig, ExperimentConfig, StrategySpec, config_to_dict
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+# (module, attribute, name install() reports), in install() order.
+PATCH_POINTS = [
+    (cli, "run_experiment", "amcsim.cli.run_experiment"),
+    (harness, "generate_ground_truth", "amcsim.harness.generate_ground_truth"),
+    (harness, "malocate_run", "amcsim.harness.malocate_run"),
+    (harness, "uniform_run", "amcsim.harness.uniform_run"),
+    (harness, "oracle_run", "amcsim.harness.oracle_run"),
+    (harness, "write_metrics_csv", "amcsim.harness.write_metrics_csv"),
+    (harness, "write_summary_csv", "amcsim.harness.write_summary_csv"),
+    (harness, "aggregate", "amcsim.harness.aggregate"),
+    (strategies, "new_samples", "amcsim.strategies.new_samples"),
+    (strategies, "split_dataset", "amcsim.strategies.split_dataset"),
+    (strategies, "soft_impute_fit", "amcsim.strategies.soft_impute_fit"),
+    (strategies, "estimate_error_bound", "amcsim.strategies.estimate_error_bound"),
+    (strategies, "_run", "amcsim.strategies._run.chooser"),
+    (numpy.linalg, "svd", "numpy.linalg.svd"),
+]
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """bench/tracing.py as a module; the names it patches are restored afterwards."""
+    for module, attr, _ in PATCH_POINTS:
+        monkeypatch.setattr(module, attr, getattr(module, attr))
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
+    cfg = ExperimentConfig(
+        experiment="traced",
+        dims=(8, 10),
+        ranks=(1, 2),
+        budget=82,
+        reps=2,
+        seed=3,
+        schedule=Discretized(init_multiplier=2, num_batches=4),
+        estimator=EstimatorConfig(max_iters=20, tol=1e-4),
+        strategies=(StrategySpec("malocate", p=math.inf), StrategySpec("uniform")),
+    )
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config_to_dict(cfg)))
+    out = tmp_path / "out"
+
+    tracer = tracing.Tracer()
+    assert tracing.install(tracer) == [name for _, _, name in PATCH_POINTS]
+    code = tracer.wrap("cli.main", cli.main)(["run", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 0
+
+    metrics = tracing.layer_metrics(tracer.spans)
+    data_lines = len((out / "metrics.csv").read_text().splitlines()) - 1
+    assert data_lines > 0
+    assert metrics["harness.rows"] == data_lines
+    assert metrics["strategies.refits"] > 0
