@@ -2,11 +2,9 @@
 metrics.csv (``<name>.csv``) and summary.csv (``<name>.summary.csv``).
 
 Together the configs cover both schedules, both splits, sample reuse on
-and off, every strategy with and without loss weights, and arms that hit
-their d^2 cap (in the initialization and later). The Doubling configs
-run two reps whose t-grids differ, and the two ``oracle`` strategies
-share one summary label, so the first of them in (rep, strategy) order
-is the one summarized. Text and integer columns must match exactly and
+and off, every strategy, loss weights, and arms that hit their d^2 cap
+(in the initialization and later). The Doubling configs run two reps
+whose t-grids differ. Text and integer columns must match exactly and
 float columns to a relative 1e-9, inf matching inf.
 
 Regenerate the stored files (only when a change of numerics is
@@ -42,7 +40,6 @@ STRATEGIES = (
     StrategySpec("malocate", p=math.inf, weights=(2.0, 1.0)),
     StrategySpec("uniform"),
     StrategySpec("oracle"),
-    StrategySpec("oracle", weights=(1.0, 3.0)),
 )
 
 
