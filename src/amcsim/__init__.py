@@ -35,7 +35,6 @@ from .problem import (
     Dataset,
     GroundTruth,
     MatrixSpec,
-    NoiseModel,
     generate_ground_truth,
     named_stream,
     new_samples,

@@ -26,27 +26,20 @@ from .harness import (
     ExperimentConfig,
     StrategySpec,
     _rep_seed,
+    _rep_truths,
     aggregate,
     read_metrics_csv,
     run_experiment,
     write_metrics_csv,
 )
-from .problem import (
-    MatrixSpec,
-    NoiseModel,
-    generate_ground_truth,
-    named_stream,
-    new_samples,
-)
+from .problem import MatrixSpec, generate_ground_truth, named_stream, new_samples
 from .strategies import (
     ArmState,
     Discretized,
     Doubling,
     LossSpec,
-    RunSpec,
     initial_batch,
     loss_from_errors,
-    malocate_run,
     select_index,
 )
 
@@ -84,13 +77,8 @@ def _doubling_trace():
         split=SplitMode.HALVES,
         reps=1,
     )
-    truths = [generate_ground_truth(s, (cfg.seed, 0, 0, pos)) for pos, s in enumerate(cfg.specs())]
-    spec = RunSpec(
-        NoiseModel.gaussian(cfg.sigma), LossSpec(p=1.0), cfg.budget, cfg.schedule,
-        cfg.estimator, cfg.split, cfg.confidence_scale,
-    )
-    _, trace = malocate_run(truths, spec, cfg.seed)
-    return cfg, truths, trace
+    [(_, _, trace)] = run_experiment(cfg).jobs
+    return cfg, _rep_truths(cfg, 0), trace
 
 
 def check_b_monotonicity() -> str | None:
@@ -211,8 +199,8 @@ def check_paired_generation() -> str | None:
 def check_determinism() -> str | None:
     with tempfile.TemporaryDirectory() as tmp:
         out1, out2 = os.path.join(tmp, "a"), os.path.join(tmp, "b")
-        run_experiment(_tiny_config(reps=1, out_dir=out1))
-        run_experiment(_tiny_config(reps=1, out_dir=out2))
+        run_experiment(_tiny_config(reps=1), out1)
+        run_experiment(_tiny_config(reps=1), out2)
         with open(os.path.join(out1, "metrics.csv"), "rb") as fh:
             first = fh.read()
         with open(os.path.join(out2, "metrics.csv"), "rb") as fh:
@@ -244,7 +232,7 @@ def check_fit_fixed_point() -> str | None:
     # a tight tol on one fixed 30 x 30 rank-3 instance sampled at 20%.
     spec = MatrixSpec(index=1, dim=30, rank_bound=3)
     truth = generate_ground_truth(spec, 3)
-    data = new_samples(truth, NoiseModel.gaussian(0.1), 180, named_stream(3))
+    data = new_samples(truth, 0.1, 180, named_stream(3))
     cfg = EstimatorConfig(max_iters=5000, tol=1e-11, clip_output=False)
     est = soft_impute_fit(data, spec, cfg)
     z, plain_steps = plain_soft_impute(data, spec, cfg)

@@ -22,14 +22,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment from a JSON config")
-    run_p.add_argument("--config", required=True, help="path to a config JSON")
-    run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--seed", type=int, default=None, help="override master seed")
-    run_p.add_argument("--reps", type=int, default=None, help="override repetitions")
-    run_p.add_argument("--threads", type=int, default=1, help="concurrent runs")
+    # Options of every command that runs an experiment.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out", required=True, help="output directory")
+    common.add_argument("--seed", type=int, default=None, help="override master seed")
+    common.add_argument("--reps", type=int, default=None, help="override repetitions")
+    common.add_argument("--threads", type=int, default=1, help="concurrent runs")
 
-    preset_p = sub.add_parser("preset", help="run one of the built-in experiments")
+    run_p = sub.add_parser(
+        "run", parents=[common], help="run an experiment from a JSON config"
+    )
+    run_p.add_argument("--config", required=True, help="path to a config JSON")
+
+    preset_p = sub.add_parser(
+        "preset", parents=[common], help="run one of the built-in experiments"
+    )
     preset_p.add_argument("name", choices=["exp1", "exp2"])
     preset_p.add_argument(
         "--scale",
@@ -37,10 +44,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1.0,
         help="divide dimensions by this factor for a desk-scale run",
     )
-    preset_p.add_argument("--out", required=True, help="output directory")
-    preset_p.add_argument("--seed", type=int, default=None, help="override master seed")
-    preset_p.add_argument("--reps", type=int, default=None, help="override repetitions")
-    preset_p.add_argument("--threads", type=int, default=1, help="concurrent runs")
 
     sub.add_parser("check", help="run the invariant and property suite")
     return parser
@@ -62,8 +65,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, seed=args.seed)
         if args.reps is not None:
             cfg = replace(cfg, reps=args.reps)
-        cfg = replace(cfg, out_dir=args.out)
-        result = run_experiment(cfg, threads=args.threads)
+        result = run_experiment(cfg, args.out, threads=args.threads)
         print(f"wrote {len(result)} metric rows to {args.out}")
         return 0
     except (ValueError, OSError) as exc:

@@ -51,7 +51,6 @@ class ErrorEstimate:
     n_pairs: int
     r_n: float | None
     b: float
-    dim: int
 
     def __post_init__(self):
         if self.n_pairs == 0 and not math.isinf(self.b):
@@ -143,12 +142,7 @@ def estimate_error_bound(est, eval_data: Dataset, dim: int, bound: float,
     rows, cols, y, y2 = paired_arrays(eval_data)
     n_pairs = len(y)
     if n_pairs == 0:
-        return ErrorEstimate(n_pairs=0, r_n=None, b=math.inf, dim=dim)
+        return ErrorEstimate(n_pairs=0, r_n=None, b=math.inf)
     m = _estimate_values(est)[rows, cols]
     r_n = float(np.mean((y - m) * (y2 - m)))
-    return ErrorEstimate(
-        n_pairs=n_pairs,
-        r_n=r_n,
-        b=b_value(r_n, n_pairs, dim, bound, scale),
-        dim=dim,
-    )
+    return ErrorEstimate(n_pairs, r_n, b_value(r_n, n_pairs, dim, bound, scale))

@@ -1,12 +1,16 @@
 """Experiment orchestration: configs, presets, repetitions, CSV output.
 
-A run of an experiment executes every configured strategy on the same
+An ``ExperimentConfig`` holds what a run computes, and nothing about
+where it writes: the output directory is an argument of
+``run_experiment``. A run executes every configured strategy on the same
 per-repetition ground truths (paired comparison) and keeps each job's
 ``RunTrace``; the traces are the only in-memory record of a run.
 metrics.csv is written straight from their events, one row per (refit
 event, matrix), and aggregation reduces the events to
 median/mean/quartile curves of the two losses against spent budget.
-``MetricsRow`` is what ``read_metrics_csv`` parses a file back into.
+A strategy is labelled by its kind and p in both files, so no two
+strategies of a config may share them. ``MetricsRow`` is what
+``read_metrics_csv`` parses a file back into.
 """
 from __future__ import annotations
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .error_bounds import SplitMode
 from .estimators import EstimatorConfig, MatrixEstimate
-from .problem import GroundTruth, MatrixSpec, NoiseModel, generate_ground_truth
+from .problem import GroundTruth, MatrixSpec, generate_ground_truth
 from .strategies import (
     Discretized,
     Doubling,
@@ -124,7 +128,6 @@ class ExperimentConfig:
     confidence_scale: float = TUNED_CONFIDENCE_SCALE
     reps: int = 15
     seed: int = 0
-    out_dir: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
@@ -135,7 +138,7 @@ class ExperimentConfig:
         for d, r in zip(self.dims, self.ranks):
             if d < 2 or not 1 <= r <= d:
                 raise ValueError(f"invalid (dim, rank) pair ({d}, {r})")
-        if self.sigma < 0:
+        if not self.sigma >= 0:  # rejects NaN too
             raise ValueError("sigma must be nonnegative")
         if self.bound_a <= 0:
             raise ValueError("bound_a must be positive")
@@ -147,11 +150,15 @@ class ExperimentConfig:
             raise ValueError("reps must be >= 1")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
+        seen = set()
         for s in self.strategies:
             if s.weights is not None and len(s.weights) != len(self.dims):
                 raise ValueError(
                     f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
                 )
+            if (s.kind, s.p) in seen:
+                raise ValueError(f"duplicate strategy {s.label}: kind and p must differ")
+            seen.add((s.kind, s.p))
 
     @property
     def num_matrices(self) -> int:
@@ -162,11 +169,6 @@ class ExperimentConfig:
             MatrixSpec(index=k + 1, dim=d, rank_bound=r, bound=self.bound_a)
             for k, (d, r) in enumerate(zip(self.dims, self.ranks))
         ]
-
-    def noise(self) -> NoiseModel:
-        if self.sigma > 0:
-            return NoiseModel.gaussian(self.sigma)
-        return NoiseModel.none()
 
 
 @dataclass(frozen=True)
@@ -251,7 +253,7 @@ def _execute_strategy(
     s_idx: int,
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     spec = RunSpec(
-        cfg.noise(), strategy.loss, cfg.budget, cfg.schedule, cfg.estimator, cfg.split,
+        cfg.sigma, strategy.loss, cfg.budget, cfg.schedule, cfg.estimator, cfg.split,
         cfg.confidence_scale,
     )
     # Looked up per call, not bound once: tracing wraps these module names.
@@ -275,15 +277,21 @@ class ExperimentResult:
         return self.cfg.num_matrices * sum(len(trace.events) for _, _, trace in self.jobs)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_experiment(
+    cfg: ExperimentConfig, out_dir: str | None = None, threads: int = 1
+) -> ExperimentResult:
     """Run all configured strategies for every repetition.
 
     Ground truths are generated once per repetition and shared by all
-    strategies, so strategy comparisons are paired. Returns an
-    ``ExperimentResult`` holding every job's trace. When the config
-    names an output directory, metrics.csv and summary.csv are written
-    there from those traces, next to config.echo.json.
+    strategies, so strategy comparisons are paired. Jobs run on up to
+    ``threads`` threads; the result does not depend on how many.
+    Returns an ``ExperimentResult`` holding every job's trace. Given
+    ``out_dir``, metrics.csv and summary.csv are written there from
+    those traces, next to config.echo.json, which depends on ``cfg``
+    alone. An ``out_dir`` that cannot be created fails before any job.
     """
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     truths_by_rep = {rep: _rep_truths(cfg, rep) for rep in range(cfg.reps)}
 
     def execute(job):
@@ -300,11 +308,10 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentResult:
         done = [execute(job) for job in jobs]
     result = ExperimentResult(cfg, tuple(done))
 
-    if cfg.out_dir:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        write_metrics_csv(result, os.path.join(cfg.out_dir, "metrics.csv"))
-        write_summary_csv(aggregate(result), os.path.join(cfg.out_dir, "summary.csv"))
-        with open(os.path.join(cfg.out_dir, "config.echo.json"), "w") as fh:
+    if out_dir:
+        write_metrics_csv(result, os.path.join(out_dir, "metrics.csv"))
+        write_summary_csv(aggregate(result), os.path.join(out_dir, "summary.csv"))
+        with open(os.path.join(out_dir, "config.echo.json"), "w") as fh:
             json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
             fh.write("\n")
     return result
@@ -371,17 +378,12 @@ SUMMARY_HEADER = (
 
 
 def aggregate(result: ExperimentResult) -> list[dict]:
-    """Per (strategy, p, t): median/mean/quartiles of both losses over reps.
-
-    A strategy is labelled by its kind and p. When two jobs of one rep
-    share a label and reach the same t, the first in (rep, strategy)
-    order counts.
-    """
+    """Per (strategy, p, t): median/mean/quartiles of both losses over reps."""
     per_rep: dict[tuple, dict[int, tuple[float, float]]] = {}
     for rep, strategy, trace in result.jobs:
         for event in trace.events:
             group = per_rep.setdefault((strategy.kind, strategy.p, event.t), {})
-            group.setdefault(rep, (event.loss_p1, event.loss_pinf))
+            group[rep] = (event.loss_p1, event.loss_pinf)
     if not per_rep:
         raise ValueError("no events to aggregate")
     keys = sorted(per_rep, key=lambda g: (g[0], math.inf if g[1] is None else g[1], g[2]))

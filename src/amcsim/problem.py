@@ -3,7 +3,8 @@
 A problem is a collection of square low-rank matrices. Observations are
 trace-regression samples: an entry location drawn uniformly at random
 (with replacement, so the same entry can be seen several times) plus
-additive noise on the entry value.
+additive Gaussian noise of standard deviation ``sigma`` on the entry
+value; ``sigma = 0`` observes entries exactly.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ import numpy as np
 __all__ = [
     "MatrixSpec",
     "GroundTruth",
-    "NoiseModel",
     "Dataset",
     "named_stream",
     "generate_ground_truth",
@@ -62,28 +62,6 @@ class GroundTruth:
             raise ValueError(
                 f"entries must be {d}x{d}, got {self.entries.shape}"
             )
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Additive observation noise: Gaussian with std ``sigma``, or none."""
-
-    kind: str = "gaussian"
-    sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("gaussian", "none"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "NoiseModel":
-        return cls(kind="gaussian", sigma=sigma)
-
-    @classmethod
-    def none(cls) -> "NoiseModel":
-        return cls(kind="none", sigma=0.0)
 
 
 @dataclass
@@ -146,17 +124,14 @@ def generate_ground_truth(spec: MatrixSpec, seed) -> GroundTruth:
     Parameters
     ----------
     spec : MatrixSpec
-    seed : int, tuple of int, or numpy Generator
+    seed : int or tuple of int, the key of a ``named_stream``
 
     Returns
     -------
     GroundTruth
         Deterministic given ``seed``; rank(M) <= spec.rank_bound.
     """
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-    else:
-        rng = named_stream(*seed) if isinstance(seed, tuple) else named_stream(seed)
+    rng = named_stream(*seed) if isinstance(seed, tuple) else named_stream(seed)
     d, r = spec.dim, spec.rank_bound
     entry_std = r ** (-0.25)  # variance r^(-1/2)
     u = rng.normal(0.0, entry_std, size=(d, r))
@@ -166,7 +141,7 @@ def generate_ground_truth(spec: MatrixSpec, seed) -> GroundTruth:
 
 def new_samples(
     gt: GroundTruth,
-    noise: NoiseModel,
+    sigma: float,
     T: int,
     rng: np.random.Generator,
 ) -> Dataset:
@@ -175,13 +150,17 @@ def new_samples(
     Entry locations are sampled with replacement on the d x d grid, so
     multi-sampling of an entry is possible (and, for T >> d, likely);
     the double-sampled entries are what powers the error estimator.
+    Each value is the entry plus N(0, sigma^2) noise; sigma = 0 draws no
+    noise, and a negative or NaN sigma is rejected.
     """
     if T < 1:
         raise ValueError(f"T must be >= 1, got {T}")
+    if not sigma >= 0:  # rejects NaN too
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
     d = gt.spec.dim
     rows = rng.integers(0, d, size=T)
     cols = rng.integers(0, d, size=T)
     values = gt.entries[rows, cols].astype(np.float64, copy=True)
-    if noise.kind == "gaussian" and noise.sigma > 0:
-        values += rng.normal(0.0, noise.sigma, size=T)
+    if sigma > 0:
+        values += rng.normal(0.0, sigma, size=T)
     return Dataset(index=gt.spec.index, rows=rows, cols=cols, values=values)

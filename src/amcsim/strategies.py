@@ -23,7 +23,7 @@ import numpy as np
 
 from .error_bounds import SplitMode, estimate_error_bound, split_dataset
 from .estimators import EstimatorConfig, MatrixEstimate, soft_impute_fit
-from .problem import Dataset, GroundTruth, NoiseModel, named_stream, new_samples
+from .problem import Dataset, GroundTruth, named_stream, new_samples
 
 __all__ = [
     "LossSpec",
@@ -125,10 +125,11 @@ class Discretized:
 class RunSpec:
     """Everything a run needs besides the matrices, the seed and the chooser.
 
-    ``scale`` is the band coefficient handed to ``b_value``.
+    ``sigma`` is the observation noise level handed to ``new_samples``,
+    ``scale`` the band coefficient handed to ``b_value``.
     """
 
-    noise: NoiseModel
+    sigma: float
     loss: LossSpec
     budget: int
     schedule: Doubling | Discretized
@@ -188,9 +189,8 @@ class TraceEvent:
 
 @dataclass
 class RunTrace:
-    """Full event log of one run plus identifying metadata."""
+    """Full event log of one run plus the hashes of its ground truths."""
 
-    strategy: str
     events: list[TraceEvent] = field(default_factory=list)
     truth_hashes: tuple[str, ...] = ()
     ended_early: bool = False
@@ -274,7 +274,7 @@ def _refit(state: ArmState, spec: RunSpec) -> None:
 
 
 def _run(
-    problem: list[GroundTruth], spec: RunSpec, rng, chooser, strategy: str
+    problem: list[GroundTruth], spec: RunSpec, rng, chooser
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     K = len(problem)
     if K == 0:
@@ -288,7 +288,6 @@ def _run(
     loss_p1 = LossSpec(p=1, weights=loss.weights)
     loss_pinf = LossSpec(p=math.inf, weights=loss.weights)
     trace = RunTrace(
-        strategy=strategy,
         truth_hashes=tuple(
             hashlib.sha256(np.ascontiguousarray(gt.entries).tobytes()).hexdigest()
             for gt in problem
@@ -316,7 +315,7 @@ def _run(
         t_k = state.samples_spent
         desired = schedule.next_batch(t_k, free) if t_k else init[pos]
         batch = min(desired, budget - spent, state.cap - t_k)
-        fresh = new_samples(state.truth, spec.noise, batch, streams[pos])
+        fresh = new_samples(state.truth, spec.sigma, batch, streams[pos])
         state.samples_spent += batch
         spent += batch
         if schedule.reuse_samples and state.data is not None:
@@ -351,10 +350,7 @@ def malocate_run(
     problem: list[GroundTruth], spec: RunSpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Adaptive run: each step samples argmax of the band criterion."""
-    return _run(
-        problem, spec, rng,
-        chooser=lambda states: select_index(states, spec.loss), strategy="malocate",
-    )
+    return _run(problem, spec, rng, chooser=lambda states: select_index(states, spec.loss))
 
 
 def uniform_run(
@@ -372,7 +368,7 @@ def uniform_run(
                 return pos
         raise AllArmsCapped
 
-    return _run(problem, spec, rng, chooser=chooser, strategy="uniform")
+    return _run(problem, spec, rng, chooser=chooser)
 
 
 def oracle_run(
@@ -399,4 +395,4 @@ def oracle_run(
                 best, best_score = i, score
         return best
 
-    return _run(problem, spec, rng, chooser=chooser, strategy="oracle")
+    return _run(problem, spec, rng, chooser=chooser)

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
-from amcsim import config_to_dict
-from amcsim import cli
+from amcsim import config_to_dict, load_config
+from amcsim import cli, harness
 from amcsim.cli import main
 from amcsim.harness import (
     Discretized,
@@ -111,6 +112,40 @@ def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, w
     assert code == 1
     assert "amcsim: error:" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
+
+
+def test_run_rejects_duplicate_strategy_label(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    strategies = [{"kind": "malocate", "p": 1}, {"kind": "malocate", "p": 1, "weights": [1, 5]}]
+    bad.write_text(json.dumps({"dims": [8, 8], "ranks": [2, 2], "strategies": strategies}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "amcsim: error: duplicate strategy" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_config_echo_independent_of_out(tmp_path):
+    # config.echo.json records what ran, not where it was written.
+    cfg_path = small_config_file(tmp_path)
+    echoes = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["run", "--config", str(cfg_path), "--out", str(out), "--seed", "9"]) == 0
+        echoes.append(out / "config.echo.json")
+    assert echoes[0].read_bytes() == echoes[1].read_bytes()
+    ran = replace(load_config(str(cfg_path)), seed=9)
+    assert all(load_config(str(path)) == ran for path in echoes)
+
+
+def test_run_rejects_unusable_out_before_any_job(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(harness, "_execute_strategy", lambda *a: pytest.fail("jobs started"))
+    cfg_path = small_config_file(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", "--config", str(cfg_path), "--out", str(taken)])
+    assert code == 1
+    assert "amcsim: error:" in capsys.readouterr().err
 
 
 def test_run_missing_config_file(tmp_path, capsys):

@@ -8,7 +8,6 @@ from amcsim import (
     ErrorEstimate,
     GroundTruth,
     MatrixSpec,
-    NoiseModel,
     SplitMode,
     b_value,
     estimate_error_bound,
@@ -55,7 +54,7 @@ class TestSplitDataset:
         rng = named_stream(42)
         spec = MatrixSpec(index=1, dim=8, rank_bound=1)
         gt = generate_ground_truth(spec, 0)
-        data = new_samples(gt, NoiseModel.gaussian(0.5), 200, rng)
+        data = new_samples(gt, 0.5, 200, rng)
         for mode in SplitMode:
             train, evl = split_dataset(data, mode)
             assert len(train) + len(evl) == len(data)
@@ -97,7 +96,7 @@ class TestPairDoubleSamples:
         spec = MatrixSpec(index=1, dim=6, rank_bound=1)
         gt = generate_ground_truth(spec, 2)
         for seed in range(10):
-            evl = new_samples(gt, NoiseModel.gaussian(1.0), 120, named_stream(50, seed))
+            evl = new_samples(gt, 1.0, 120, named_stream(50, seed))
             rows, cols, y, y2 = paired_arrays(evl)
             assert len(y) <= len(evl) // 2
             lookup = list(zip(evl.rows, evl.cols, evl.values))
@@ -114,7 +113,7 @@ class TestEstimateError:
     def test_perfect_estimate_noiseless(self):
         spec = MatrixSpec(index=1, dim=4, rank_bound=1)
         gt = generate_ground_truth(spec, 1)
-        evl = new_samples(gt, NoiseModel.none(), 64, named_stream(60))
+        evl = new_samples(gt, 0.0, 64, named_stream(60))
         bundle = estimate_error_bound(gt.entries, evl, 4, bound=4.0)
         assert bundle.n_pairs >= 1
         assert bundle.r_n == pytest.approx(0.0, abs=1e-15)
@@ -155,7 +154,7 @@ class TestEstimateError:
         rng = named_stream(61)
         samples = []
         for _ in range(1000):
-            evl = new_samples(gt, NoiseModel.gaussian(0.1), 400, rng)
+            evl = new_samples(gt, 0.1, 400, rng)
             bundle = estimate_error_bound(est, evl, d, bound=4.0)
             if bundle.n_pairs:
                 samples.append(bundle.r_n)
@@ -193,12 +192,12 @@ class TestErrorEstimateBundle:
 
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
-            ErrorEstimate(n_pairs=0, r_n=None, b=1.0, dim=5)
+            ErrorEstimate(n_pairs=0, r_n=None, b=1.0)
 
     def test_band_consistent_with_parts(self):
         spec = MatrixSpec(index=1, dim=10, rank_bound=1)
         gt = generate_ground_truth(spec, 5)
-        evl = new_samples(gt, NoiseModel.gaussian(0.2), 300, named_stream(70))
+        evl = new_samples(gt, 0.2, 300, named_stream(70))
         est = gt.entries * 0.5
         bundle = estimate_error_bound(est, evl, 10, bound=2.0, scale=4.0)
         # pair each entry's looks (1st, 2nd), (3rd, 4th), ... in arrival order
@@ -224,7 +223,7 @@ class TestErrorEstimateBundle:
         rng = named_stream(71)
         hits = 0
         for _ in range(1000):
-            evl = new_samples(gt, NoiseModel.none(), 200, rng)
+            evl = new_samples(gt, 0.0, 200, rng)
             if len(paired_arrays(evl)[0]) >= 2:
                 hits += 1
         assert hits >= 990

@@ -10,7 +10,6 @@ from amcsim import (
     Dataset,
     EstimatorConfig,
     MatrixSpec,
-    NoiseModel,
     SplitMode,
     generate_ground_truth,
     lambda_for,
@@ -43,7 +42,7 @@ def sampled(d, draws, rank=3, seed=29):
     """Noisy draws of a rank-``rank`` d x d instance, with replacement."""
     spec = MatrixSpec(index=1, dim=d, rank_bound=rank)
     gt = generate_ground_truth(spec, seed)
-    return spec, gt, new_samples(gt, NoiseModel.gaussian(0.1), draws, named_stream(9, d, seed))
+    return spec, gt, new_samples(gt, 0.1, draws, named_stream(9, d, seed))
 
 
 def objective(data, spec, cfg, z):
@@ -325,7 +324,7 @@ class TestSoftImpute:
     def test_deterministic(self):
         spec = MatrixSpec(index=1, dim=25, rank_bound=2)
         gt = generate_ground_truth(spec, 11)
-        data = new_samples(gt, NoiseModel.gaussian(0.1), 500, named_stream(5))
+        data = new_samples(gt, 0.1, 500, named_stream(5))
         cfg = EstimatorConfig(max_iters=60, tol=1e-6)
         a = soft_impute_fit(data, spec, cfg)
         b = soft_impute_fit(data, spec, cfg)
@@ -335,7 +334,7 @@ class TestSoftImpute:
     def test_warm_start_changes_single_iteration(self):
         spec = MatrixSpec(index=1, dim=15, rank_bound=2)
         gt = generate_ground_truth(spec, 13)
-        data = new_samples(gt, NoiseModel.none(), 300, named_stream(6))
+        data = new_samples(gt, 0.0, 300, named_stream(6))
         one_step = EstimatorConfig(max_iters=1, tol=1e-15, warm_start=True)
         cold = soft_impute_fit(data, spec, one_step)
         warmed = soft_impute_fit(data, spec, one_step, warm=cold)
@@ -348,7 +347,7 @@ class TestSoftImpute:
     def test_surrogate_objective_monotone_in_debug(self):
         spec = MatrixSpec(index=1, dim=30, rank_bound=3)
         gt = generate_ground_truth(spec, 17)
-        data = new_samples(gt, NoiseModel.gaussian(0.1), 700, named_stream(7))
+        data = new_samples(gt, 0.1, 700, named_stream(7))
         cfg = EstimatorConfig(max_iters=200, tol=1e-9, debug=True)
         soft_impute_fit(data, spec, cfg)  # raises AssertionError on violation
 
@@ -362,7 +361,7 @@ class TestSoftImpute:
         for seed in range(20):
             gt = generate_ground_truth(spec, seed)
             rng = named_stream(100, seed)
-            data = new_samples(gt, NoiseModel.gaussian(0.1), 4 * base, rng)
+            data = new_samples(gt, 0.1, 4 * base, rng)
             sub = data.take(np.arange(base))
             for out, train in ((small, sub), (large, data)):
                 est = soft_impute_fit(train, spec, cfg)
@@ -376,7 +375,7 @@ class TestGetEstimator:
     def test_halves_trains_on_half(self):
         spec = MatrixSpec(index=1, dim=20, rank_bound=2)
         gt = generate_ground_truth(spec, 19)
-        data = new_samples(gt, NoiseModel.none(), 100, named_stream(8))
+        data = new_samples(gt, 0.0, 100, named_stream(8))
         train, _ = split_dataset(data, SplitMode.HALVES)
         est = soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
         assert est.trained_on == 50

@@ -15,7 +15,6 @@ intended) with:
 import csv
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -124,13 +123,13 @@ def _assert_matches(got_path, want_path, columns):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_metrics_match_golden(name, tmp_path):
-    run_experiment(replace(CONFIGS[name], out_dir=str(tmp_path)))
+    run_experiment(CONFIGS[name], str(tmp_path))
     _assert_matches(tmp_path / "metrics.csv", GOLDEN_DIR / f"{name}.csv", METRICS_COLUMNS)
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_summary_matches_golden(name, tmp_path):
-    run_experiment(replace(CONFIGS[name], out_dir=str(tmp_path)))
+    run_experiment(CONFIGS[name], str(tmp_path))
     _assert_matches(
         tmp_path / "summary.csv", GOLDEN_DIR / f"{name}.summary.csv", SUMMARY_COLUMNS
     )

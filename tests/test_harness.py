@@ -56,7 +56,7 @@ def tiny_config(**overrides):
 
 def run_rows(cfg, out):
     """Run ``cfg`` with output to ``out`` and read its metrics.csv back."""
-    run_experiment(replace(cfg, out_dir=str(out)))
+    run_experiment(cfg, str(out))
     return read_metrics_csv(str(out / "metrics.csv"))
 
 
@@ -90,7 +90,7 @@ def loop_aggregate(result):
     for rep, strategy, trace in result.jobs:
         for event in trace.events:
             group = per_rep.setdefault((strategy.kind, strategy.p, event.t), {})
-            group.setdefault(rep, (event.loss_p1, event.loss_pinf))
+            group[rep] = (event.loss_p1, event.loss_pinf)
     out = []
     for key in sorted(per_rep, key=lambda g: (g[0], math.inf if g[1] is None else g[1], g[2])):
         entry = dict(zip(("strategy", "p", "t"), key), n_reps=len(per_rep[key]))
@@ -111,7 +111,10 @@ def one_rep_result():
 
 @st.composite
 def valid_configs(draw):
-    """Any ExperimentConfig the constructors accept (finite floats, p up to inf)."""
+    """Any ExperimentConfig the constructors accept (finite floats, p up to inf).
+
+    Strategies differ in (kind, p), as the config requires.
+    """
     K = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(2, 60), min_size=K, max_size=K))
     ranks = [draw(st.integers(1, d)) for d in dims]
@@ -140,14 +143,15 @@ def valid_configs(draw):
         sigma=draw(st.floats(0.0, 1e3)),
         bound_a=draw(positive),
         budget=draw(st.integers(1, 10**9)),
-        strategies=tuple(draw(st.lists(strategy, min_size=1, max_size=5))),
+        strategies=tuple(
+            draw(st.lists(strategy, min_size=1, max_size=5, unique_by=lambda s: (s.kind, s.p)))
+        ),
         schedule=draw(schedule),
         split=draw(st.sampled_from(SplitMode)),
         estimator=draw(estimator),
         confidence_scale=draw(positive),
         reps=draw(st.integers(1, 100)),
         seed=draw(st.integers(0, 2**63)),
-        out_dir=draw(st.none() | st.text(max_size=12)),
     )
 
 
@@ -174,7 +178,7 @@ class TestPresets:
         assert cfg.budget == 15 * 200 * 200 // 2
 
     def test_scaled_keeps_other_fields(self):
-        cfg = tiny_config(estimator=EstimatorConfig(debug=True), out_dir="out")
+        cfg = tiny_config(estimator=EstimatorConfig(debug=True))
         small = scaled(cfg, 2.0)
         assert small.dims == (8, 10) and small.budget == 82
         assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
@@ -223,15 +227,15 @@ class TestRunExperiment:
     def test_deterministic_csv(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"
-        run_experiment(tiny_config(reps=1, out_dir=str(out1)))
-        run_experiment(tiny_config(reps=1, out_dir=str(out2)))
+        run_experiment(tiny_config(reps=1), str(out1))
+        run_experiment(tiny_config(reps=1), str(out2))
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     def test_threads_do_not_change_rows(self, tmp_path):
         one, three = tmp_path / "one", tmp_path / "three"
-        run_experiment(tiny_config(out_dir=str(one)))
-        run_experiment(tiny_config(out_dir=str(three)), threads=3)
+        run_experiment(tiny_config(), str(one))
+        run_experiment(tiny_config(), str(three), threads=3)
         for name in ("metrics.csv", "summary.csv"):
             assert (one / name).read_bytes() == (three / name).read_bytes()
 
@@ -246,8 +250,8 @@ class TestRunExperiment:
 
     def test_output_files(self, tmp_path):
         out = tmp_path / "run"
-        cfg = tiny_config(reps=1, out_dir=str(out))
-        run_experiment(cfg)
+        cfg = tiny_config(reps=1)
+        run_experiment(cfg, str(out))
         assert (out / "metrics.csv").exists()
         assert (out / "summary.csv").exists()
         echoed = json.loads((out / "config.echo.json").read_text())
@@ -314,12 +318,10 @@ class TestAggregate:
 
     def test_matches_per_group_loop(self):
         # Doubling t-grids differ between reps, so groups hold different
-        # rep counts, up to 9 (where numpy sums pairwise); the two oracles
-        # share a label.
+        # rep counts, up to 9 (where numpy sums pairwise).
         cfg = tiny_config(
             dims=(8, 10), schedule=Doubling(), budget=200, reps=9,
-            strategies=(StrategySpec("malocate", p=1.0), StrategySpec("oracle"),
-                        StrategySpec("oracle", weights=(1.0, 3.0))),
+            strategies=(StrategySpec("malocate", p=1.0), StrategySpec("oracle")),
         )
         result = run_experiment(cfg)
         summary = aggregate(result)
@@ -466,6 +468,24 @@ class TestConfigSerialization:
             config_from_dict(raw)
         raw["strategies"][1]["weights"] = [1, 2]
         assert config_from_dict(raw).strategies[1].loss == LossSpec(1.0, (1.0, 2.0))
+
+    def test_duplicate_strategy_label_rejected_at_load(self):
+        # metrics.csv and summary.csv label a strategy by (kind, p) alone,
+        # so strategies that differ only in weights cannot both run.
+        raw = {
+            "dims": [8, 8],
+            "ranks": [2, 2],
+            "strategies": [
+                {"kind": "malocate", "p": 1},
+                {"kind": "malocate", "p": 1.0, "weights": [1, 5]},
+            ],
+        }
+        with pytest.raises(ValueError, match="duplicate strategy malocate_p1"):
+            config_from_dict(raw)
+        with pytest.raises(ValueError, match="duplicate strategy oracle"):
+            tiny_config(strategies=(StrategySpec("oracle"), StrategySpec("oracle", weights=(1, 3))))
+        raw["strategies"][1]["p"] = 2
+        assert len(config_from_dict(raw).strategies) == 2
 
     def test_integral_floats_and_strings_accepted(self):
         raw = config_to_dict(tiny_config())

@@ -6,7 +6,6 @@ from amcsim import (
     Dataset,
     GroundTruth,
     MatrixSpec,
-    NoiseModel,
     generate_ground_truth,
     named_stream,
     new_samples,
@@ -25,11 +24,11 @@ def test_spec_validation():
 
 
 def test_noise_validation():
-    with pytest.raises(ValueError):
-        NoiseModel(kind="poisson")
-    with pytest.raises(ValueError):
-        NoiseModel.gaussian(-0.1)
-    assert NoiseModel.none().sigma == 0.0
+    # A negative sigma must not pass for "no noise", nor NaN for anything.
+    gt = generate_ground_truth(MatrixSpec(index=1, dim=4, rank_bound=1), 0)
+    for sigma in (-0.1, float("nan")):
+        with pytest.raises(ValueError, match="sigma"):
+            new_samples(gt, sigma, 5, named_stream(0))
 
 
 def test_ground_truth_deterministic():
@@ -69,7 +68,7 @@ def test_rank_never_exceeds_bound(rank):
 def test_single_entry_matrix():
     spec = MatrixSpec(index=1, dim=1, rank_bound=1)
     gt = generate_ground_truth(spec, 5)
-    ds = new_samples(gt, NoiseModel.none(), 5, named_stream(0))
+    ds = new_samples(gt, 0.0, 5, named_stream(0))
     assert len(ds) == 5
     assert np.all(ds.rows == 0) and np.all(ds.cols == 0)
     assert np.allclose(ds.values, gt.entries[0, 0])
@@ -80,7 +79,7 @@ def test_new_samples_uniform_locations():
     d = 20
     spec = MatrixSpec(index=1, dim=d, rank_bound=2)
     gt = generate_ground_truth(spec, 3)
-    ds = new_samples(gt, NoiseModel.none(), 40000, named_stream(11))
+    ds = new_samples(gt, 0.0, 40000, named_stream(11))
     counts = np.bincount(ds.rows * d + ds.cols, minlength=d * d)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
@@ -89,7 +88,7 @@ def test_new_samples_uniform_locations():
 def test_new_samples_noise_statistics():
     spec = MatrixSpec(index=1, dim=10, rank_bound=1)
     zero = GroundTruth(spec=spec, entries=np.zeros((10, 10)))
-    ds = new_samples(zero, NoiseModel.gaussian(0.1), 10000, named_stream(21))
+    ds = new_samples(zero, 0.1, 10000, named_stream(21))
     assert abs(ds.values.mean()) < 0.004
     assert abs(ds.values.std() - 0.1) < 0.005
 
@@ -97,8 +96,8 @@ def test_new_samples_noise_statistics():
 def test_new_samples_deterministic_given_stream():
     spec = MatrixSpec(index=1, dim=15, rank_bound=2)
     gt = generate_ground_truth(spec, 9)
-    a = new_samples(gt, NoiseModel.gaussian(0.2), 100, named_stream(4, 2))
-    b = new_samples(gt, NoiseModel.gaussian(0.2), 100, named_stream(4, 2))
+    a = new_samples(gt, 0.2, 100, named_stream(4, 2))
+    b = new_samples(gt, 0.2, 100, named_stream(4, 2))
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.cols, b.cols)
     assert np.array_equal(a.values, b.values)
@@ -112,7 +111,7 @@ def test_multi_sampling_occurs():
     rng = named_stream(31)
     hits = 0
     for _ in range(1000):
-        ds = new_samples(gt, NoiseModel.none(), 800, rng)
+        ds = new_samples(gt, 0.0, 800, rng)
         counts = np.bincount(ds.rows * d + ds.cols, minlength=d * d)
         if np.any(counts >= 2):
             hits += 1
@@ -123,7 +122,7 @@ def test_new_samples_rejects_bad_T():
     spec = MatrixSpec(index=1, dim=5, rank_bound=1)
     gt = generate_ground_truth(spec, 0)
     with pytest.raises(ValueError):
-        new_samples(gt, NoiseModel.none(), 0, named_stream(0))
+        new_samples(gt, 0.0, 0, named_stream(0))
 
 
 def test_dataset_mixed_indices_rejected():

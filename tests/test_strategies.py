@@ -12,7 +12,6 @@ from amcsim import (
     EstimatorConfig,
     LossSpec,
     MatrixSpec,
-    NoiseModel,
     RunSpec,
     SplitMode,
     generate_ground_truth,
@@ -156,7 +155,7 @@ class TestDoublingRuns:
         truths = make_problem([20], [2], seed=5)
         n = 2000
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
+            0.1, LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
         )
         _, trace = malocate_run(truths, spec, rng=3)
         base = initial_batch(20)
@@ -174,7 +173,7 @@ class TestDoublingRuns:
         truths = make_problem([16, 20], [2, 2], seed=6)
         n = 1500
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=math.inf), n,
+            0.1, LossSpec(p=math.inf), n,
             Doubling(), FAST_CFG, SplitMode.HALVES,
         )
         _, trace = malocate_run(truths, spec, rng=4)
@@ -188,7 +187,7 @@ class TestDoublingRuns:
     def test_budget_too_small_rejected(self):
         truths = make_problem([30, 30], [2, 2])
         spec = RunSpec(
-            NoiseModel.none(), LossSpec(p=1.0), 100, Doubling(), FAST_CFG, SplitMode.HALVES
+            0.0, LossSpec(p=1.0), 100, Doubling(), FAST_CFG, SplitMode.HALVES
         )
         with pytest.raises(ValueError):
             malocate_run(truths, spec, rng=0)
@@ -197,7 +196,7 @@ class TestDoublingRuns:
         truths = make_problem([8, 8], [1, 1], seed=7)
         n = 8 * 8 * 4  # far more than both caps
         spec = RunSpec(
-            NoiseModel.gaussian(0.05), LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
+            0.05, LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
         )
         _, trace = malocate_run(truths, spec, rng=5)
         assert trace.ended_early
@@ -206,7 +205,7 @@ class TestDoublingRuns:
     def test_b_monotone_and_guarded_updates(self):
         truths = make_problem([20, 24], [2, 3], seed=8)
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=math.inf), 3000,
+            0.1, LossSpec(p=math.inf), 3000,
             Doubling(), FAST_CFG, SplitMode.HALVES,
         )
         estimates, trace = malocate_run(truths, spec, rng=6)
@@ -234,7 +233,7 @@ class TestDoublingRuns:
         n = 2 * 30 * 30
         cfg = EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9)
         spec = RunSpec(
-            NoiseModel.none(), LossSpec(p=math.inf), n,
+            0.0, LossSpec(p=math.inf), n,
             Discretized(8, 20, reuse_samples=True), cfg,
             SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
@@ -255,7 +254,7 @@ class TestDiscretizedRuns:
         # n - (K - 1) * init = 720 - 320 <= 400
         n = 720
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            0.1, LossSpec(p=1.0), n,
             Discretized(init_multiplier=8, num_batches=10), FAST_CFG,
             SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
@@ -274,7 +273,7 @@ class TestDiscretizedRuns:
         truths = make_problem([16, 16, 16, 16], [2, 2, 2, 2], seed=11)
         n = 2000
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            0.1, LossSpec(p=1.0), n,
             Discretized(init_multiplier=8, num_batches=12), FAST_CFG,
             SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
@@ -287,7 +286,7 @@ class TestDiscretizedRuns:
         truths = make_problem([20], [2], seed=12)
         n = 1200
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            0.1, LossSpec(p=1.0), n,
             Discretized(8, 8), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
         )
         _, t_mal = malocate_run(truths, spec, rng=10)
@@ -299,7 +298,7 @@ class TestDiscretizedRuns:
         truths = make_problem([20], [2], seed=13)
         n = 1000
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+            0.1, LossSpec(p=1.0), n,
             Discretized(8, 5, reuse_samples=True), FAST_CFG,
             SplitMode.HALVES, scale=0.0625,
         )
@@ -316,7 +315,7 @@ class TestInitClampedToCap:
         truths = make_problem([dim, dim], [1, 1], seed=15)
         n = 2 * dim * dim
         spec = RunSpec(
-            NoiseModel.gaussian(0.1), LossSpec(p=1.0), n, schedule,
+            0.1, LossSpec(p=1.0), n, schedule,
             FAST_CFG, SplitMode.BY_MULTIPLICITY,
         )
         _, trace = malocate_run(truths, spec, rng=13)
@@ -335,12 +334,26 @@ class TestOracleRun:
         # capacity, n - 2 * 192 <= 576 - 192, i.e. n <= 768
         n = 768
         spec = RunSpec(
-            NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
+            0.05, LossSpec(p=math.inf), n,
             Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY,
         )
         _, trace = oracle_run(truths, spec, rng=12)
         final = trace.events[-1].t_values
         assert final[0] > final[1]
+
+    def test_oracle_weights_tilt_allocation(self):
+        # The instance above: unweighted, the oracle spends the free budget
+        # on the hard arm; weight 10 on the easy arm sends it there instead.
+        truths = make_problem([24, 24], [8, 1], seed=14)
+        spec = RunSpec(
+            0.05, LossSpec(p=math.inf), 768,
+            Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        )
+        weighted = replace(spec, loss=LossSpec(p=math.inf, weights=(1.0, 10.0)))
+        _, plain = oracle_run(truths, spec, rng=12)
+        _, tilted = oracle_run(truths, weighted, rng=12)
+        assert plain.events[-1].t_values == (576, 192)
+        assert tilted.events[-1].t_values == (192, 576)
 
     def test_oracle_dominates_for_max_loss(self):
         # median over seeds: oracle final max loss <= malocate's
@@ -350,7 +363,7 @@ class TestOracleRun:
             truths = make_problem([20, 20], [5, 1], seed=seed)
             n = 800
             spec = RunSpec(
-                NoiseModel.gaussian(0.05), LossSpec(p=math.inf), n,
+                0.05, LossSpec(p=math.inf), n,
                 Discretized(8, 10), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
             )
             _, t_orc = oracle_run(truths, spec, rng=100 + seed)
@@ -369,7 +382,7 @@ class TestGoodAllocation:
             truths = make_problem([40, 40], [8, 1], seed=20 + seed)
             n = 2600
             spec = RunSpec(
-                NoiseModel.gaussian(0.1), LossSpec(p=1.0), n,
+                0.1, LossSpec(p=1.0), n,
                 Discretized(8, 30), EstimatorConfig(max_iters=80, tol=1e-4),
                 SplitMode.BY_MULTIPLICITY, scale=0.0625,
             )
