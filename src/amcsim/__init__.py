@@ -15,10 +15,8 @@ from .estimators import (
     svt,
 )
 from .harness import (
-    ExperimentConfig,
     ExperimentResult,
     MetricsRow,
-    StrategySpec,
     aggregate,
     config_from_dict,
     config_to_dict,
@@ -44,9 +42,9 @@ from .strategies import (
     ArmState,
     Discretized,
     Doubling,
-    LossSpec,
-    RunSpec,
+    ExperimentConfig,
     RunTrace,
+    StrategySpec,
     TraceEvent,
     initial_batch,
     loss_from_errors,

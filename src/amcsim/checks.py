@@ -23,8 +23,6 @@ from .estimators import (
     svt,
 )
 from .harness import (
-    ExperimentConfig,
-    StrategySpec,
     _rep_seed,
     _rep_truths,
     aggregate,
@@ -37,7 +35,8 @@ from .strategies import (
     ArmState,
     Discretized,
     Doubling,
-    LossSpec,
+    ExperimentConfig,
+    StrategySpec,
     initial_batch,
     loss_from_errors,
     select_index,
@@ -140,14 +139,13 @@ def check_argmax_scale_invariance() -> str | None:
                 )
             )
         for p in (1.0, 2.0, math.inf):
-            loss = LossSpec(p=p)
-            base = select_index(states, loss)
+            base = select_index(states, p)
             c = float(rng.uniform(0.1, 10.0))
             scaled_states = [
                 ArmState(truth=s.truth, samples_spent=s.samples_spent, band=c * s.band)
                 for s in states
             ]
-            if select_index(scaled_states, loss) != base:
+            if select_index(scaled_states, p) != base:
                 return f"choice changed under B -> {c:.3f} B at p={p}"
     return None
 
@@ -156,9 +154,7 @@ def check_loss_p_monotonicity() -> str | None:
     rng = np.random.default_rng(1)
     for trial in range(200):
         errors = rng.uniform(0.0, 10.0, size=rng.integers(1, 8))
-        values = [
-            loss_from_errors(errors, LossSpec(p=p)) for p in (1.0, 2.0, 4.0, math.inf)
-        ]
+        values = [loss_from_errors(errors, p) for p in (1.0, 2.0, 4.0, math.inf)]
         for a, b in zip(values, values[1:]):
             if b > a + 1e-12:
                 return f"loss increased in p on errors {errors}"

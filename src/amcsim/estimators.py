@@ -66,12 +66,13 @@ class EstimatorConfig:
     debug: bool = False
 
     def __post_init__(self):
-        if self.lambda_scale < 0:
-            raise ValueError("lambda_scale must be nonnegative")
+        # Chained comparisons reject NaN as well as inf.
+        if not 0 <= self.lambda_scale < math.inf:
+            raise ValueError("lambda_scale must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 @dataclass

@@ -1,10 +1,12 @@
-"""Experiment orchestration: configs, presets, repetitions, CSV output.
+"""Experiment orchestration: presets, repetitions, config files, CSV output.
 
-An ``ExperimentConfig`` holds what a run computes, and nothing about
-where it writes: the output directory is an argument of
-``run_experiment``. A run executes every configured strategy on the same
-per-repetition ground truths (paired comparison) and keeps each job's
-``RunTrace``; the traces are the only in-memory record of a run.
+The config types, ``ExperimentConfig`` and ``StrategySpec``, live in
+``strategies``, whose runners read them. A config holds what a run
+computes, and nothing about where it writes: the output directory is an
+argument of ``run_experiment``. A run executes every configured
+strategy on the same per-repetition ground truths (paired comparison)
+and keeps each job's ``RunTrace``; the traces are the only in-memory
+record of a run.
 metrics.csv is written straight from their events, one row per (refit
 event, matrix), and aggregation reduces the events to
 median/mean/quartile curves of the two losses against spent budget.
@@ -20,30 +22,24 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .error_bounds import SplitMode
-from .estimators import EstimatorConfig, MatrixEstimate
-from .problem import GroundTruth, MatrixSpec, generate_ground_truth
+from .problem import GroundTruth, generate_ground_truth
 from .strategies import (
-    Discretized,
-    Doubling,
-    LossSpec,
-    RunSpec,
+    ExperimentConfig,
     RunTrace,
+    StrategySpec,
     malocate_run,
     oracle_run,
     uniform_run,
 )
 
 __all__ = [
-    "StrategySpec",
-    "ExperimentConfig",
     "MetricsRow",
     "ExperimentResult",
     "preset_experiment_1",
@@ -58,117 +54,12 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "METRICS_HEADER",
-    "TUNED_CONFIDENCE_SCALE",
 ]
 
 METRICS_HEADER = "experiment,strategy,p,rep,seed,t,k,T_k,B_k,true_err_k,loss_p1,loss_pinf"
 
-# Band coefficient used by the experiment presets. The worst-case
-# constant 8 is honest but so wide that, at simulation scale, every
-# band is dominated by the A^2 sqrt(ln d / N) term and the allocation
-# signal drowns; the original experiments likewise tuned their
-# intervals. 1/16 with A = 4 makes the band term sqrt(ln d / N).
-TUNED_CONFIDENCE_SCALE = 0.0625
-
 _ROLE_TRUTH = 0
 _ROLE_OBS = 1
-
-
-@dataclass(frozen=True)
-class StrategySpec:
-    """One strategy to run: kind, loss parameter, optional weights."""
-
-    kind: str
-    p: float | None = None
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("malocate", "uniform", "oracle"):
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == "malocate" and self.p is None:
-            raise ValueError("malocate requires a loss parameter p")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        self.loss  # LossSpec rejects p < 1, NaN p and nonpositive weights
-
-    @property
-    def loss(self) -> LossSpec:
-        return LossSpec(self.p if self.p is not None else math.inf, self.weights)
-
-    @property
-    def label(self) -> str:
-        if self.p is None:
-            return self.kind
-        suffix = "inf" if math.isinf(self.p) else f"{self.p:g}"
-        return f"{self.kind}_p{suffix}"
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything needed to reproduce one experiment.
-
-    The defaults are the settings the two paper experiments share.
-    """
-
-    experiment: str
-    dims: tuple[int, ...]
-    ranks: tuple[int, ...]
-    sigma: float = 0.1
-    bound_a: float = 4.0
-    budget: int = 0
-    strategies: tuple[StrategySpec, ...] = (
-        StrategySpec("malocate", p=1.0),
-        StrategySpec("malocate", p=math.inf),
-        StrategySpec("uniform"),
-        StrategySpec("oracle"),
-    )
-    schedule: Doubling | Discretized = field(default_factory=Discretized)
-    split: SplitMode = SplitMode.BY_MULTIPLICITY
-    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
-    confidence_scale: float = TUNED_CONFIDENCE_SCALE
-    reps: int = 15
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        if len(self.dims) != len(self.ranks) or not self.dims:
-            raise ValueError("dims and ranks must be nonempty and aligned")
-        for d, r in zip(self.dims, self.ranks):
-            if d < 2 or not 1 <= r <= d:
-                raise ValueError(f"invalid (dim, rank) pair ({d}, {r})")
-        if not self.sigma >= 0:  # rejects NaN too
-            raise ValueError("sigma must be nonnegative")
-        if self.bound_a <= 0:
-            raise ValueError("bound_a must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.confidence_scale <= 0:
-            raise ValueError("confidence_scale must be positive")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if not self.strategies:
-            raise ValueError("at least one strategy is required")
-        seen = set()
-        for s in self.strategies:
-            if s.weights is not None and len(s.weights) != len(self.dims):
-                raise ValueError(
-                    f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
-                )
-            if (s.kind, s.p) in seen:
-                raise ValueError(f"duplicate strategy {s.label}: kind and p must differ")
-            seen.add((s.kind, s.p))
-
-    @property
-    def num_matrices(self) -> int:
-        return len(self.dims)
-
-    def specs(self) -> list[MatrixSpec]:
-        return [
-            MatrixSpec(index=k + 1, dim=d, rank_bound=r, bound=self.bound_a)
-            for k, (d, r) in enumerate(zip(self.dims, self.ranks))
-        ]
 
 
 @dataclass(frozen=True)
@@ -245,22 +136,6 @@ def _rep_truths(cfg: ExperimentConfig, rep: int) -> list[GroundTruth]:
     ]
 
 
-def _execute_strategy(
-    cfg: ExperimentConfig,
-    strategy: StrategySpec,
-    truths: list[GroundTruth],
-    rep: int,
-    s_idx: int,
-) -> tuple[list[MatrixEstimate], RunTrace]:
-    spec = RunSpec(
-        cfg.sigma, strategy.loss, cfg.budget, cfg.schedule, cfg.estimator, cfg.split,
-        cfg.confidence_scale,
-    )
-    # Looked up per call, not bound once: tracing wraps these module names.
-    runner = {"malocate": malocate_run, "uniform": uniform_run, "oracle": oracle_run}
-    return runner[strategy.kind](truths, spec, (cfg.seed, rep, _ROLE_OBS, s_idx))
-
-
 @dataclass(frozen=True)
 class ExperimentResult:
     """The run traces of an experiment, one per (rep, strategy) job.
@@ -297,7 +172,10 @@ def run_experiment(
     def execute(job):
         rep, s_idx = job
         strategy = cfg.strategies[s_idx]
-        _, trace = _execute_strategy(cfg, strategy, truths_by_rep[rep], rep, s_idx)
+        # Looked up per call, not bound once: tracing wraps these module names.
+        runner = {"malocate": malocate_run, "uniform": uniform_run, "oracle": oracle_run}
+        rng = (cfg.seed, rep, _ROLE_OBS, s_idx)
+        _, trace = runner[strategy.kind](truths_by_rep[rep], cfg, strategy, rng)
         return rep, strategy, trace
 
     jobs = [(rep, s_idx) for rep in range(cfg.reps) for s_idx in range(len(cfg.strategies))]

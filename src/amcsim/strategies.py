@@ -1,12 +1,14 @@
-"""Active budget allocation over multiple completion problems.
+"""Run settings and active budget allocation over multiple completion problems.
 
-Three strategies share one sequential loop, ``_run``, and one
-``RunSpec``: an adaptive rule that samples the matrix with the largest
-band-per-sample criterion, a round-robin baseline, and an oracle that
-reads the true errors. They differ only in the chooser that names the
-next matrix. Each step requests a batch of fresh observations for that
-matrix, refits, re-estimates the error band, and accepts the new
-estimate only when its band improves.
+An ``ExperimentConfig`` holds the settings of a run and a
+``StrategySpec`` names one strategy. Three strategies share one
+sequential loop, ``_run``, which reads its settings from the config: an
+adaptive rule that samples the matrix with the largest band-per-sample
+criterion, a round-robin baseline, and an oracle that reads the true
+errors. They differ only in the chooser that names the next matrix.
+Each step requests a batch of fresh observations for that matrix,
+refits, re-estimates the error band, and accepts the new estimate only
+when its band improves.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -23,11 +25,12 @@ import numpy as np
 
 from .error_bounds import SplitMode, estimate_error_bound, split_dataset
 from .estimators import EstimatorConfig, MatrixEstimate, soft_impute_fit
-from .problem import Dataset, GroundTruth, named_stream, new_samples
+from .problem import Dataset, GroundTruth, MatrixSpec, named_stream, new_samples
 
 __all__ = [
-    "LossSpec",
-    "RunSpec",
+    "StrategySpec",
+    "ExperimentConfig",
+    "TUNED_CONFIDENCE_SCALE",
     "ArmState",
     "Doubling",
     "Discretized",
@@ -45,30 +48,6 @@ __all__ = [
 
 class AllArmsCapped(Exception):
     """Every matrix has reached its observation cap; the run is complete."""
-
-
-@dataclass(frozen=True)
-class LossSpec:
-    """Loss family parameter p in [1, inf] and optional per-matrix weights.
-
-    p = 1 sums the squared Frobenius errors, p = inf takes the worst
-    one; math.inf is the distinguished infinite case. Weights default
-    to one for every matrix.
-    """
-
-    p: float = math.inf
-    weights: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if not self.p >= 1:  # rejects NaN too
-            raise ValueError(f"p must be >= 1, got {self.p}")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weights must be positive")
-
-    def weight(self, pos: int) -> float:
-        return 1.0 if self.weights is None else self.weights[pos]
 
 
 @dataclass(frozen=True)
@@ -121,21 +100,109 @@ class Discretized:
         return max(1, math.ceil(free / self.num_batches))
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """Everything a run needs besides the matrices, the seed and the chooser.
+# Band coefficient used by the experiment presets. The worst-case
+# constant 8 is honest but so wide that, at simulation scale, every
+# band is dominated by the A^2 sqrt(ln d / N) term and the allocation
+# signal drowns; the original experiments likewise tuned their
+# intervals. 1/16 with A = 4 makes the band term sqrt(ln d / N).
+TUNED_CONFIDENCE_SCALE = 0.0625
 
-    ``sigma`` is the observation noise level handed to ``new_samples``,
-    ``scale`` the band coefficient handed to ``b_value``.
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """One strategy to run: kind, loss parameter p in [1, inf], optional positive weights."""
+
+    kind: str
+    p: float | None = None
+    weights: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("malocate", "uniform", "oracle"):
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.kind == "malocate" and self.p is None:
+            raise ValueError("malocate requires a loss parameter p")
+        if self.p is not None and not self.p >= 1:  # rejects NaN too
+            raise ValueError(f"p must be >= 1, got {self.p}")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            if not all(0 < w < math.inf for w in self.weights):  # rejects NaN too
+                raise ValueError("weights must be positive and finite")
+
+    @property
+    def label(self) -> str:
+        if self.p is None:
+            return self.kind
+        suffix = "inf" if math.isinf(self.p) else f"{self.p:g}"
+        return f"{self.kind}_p{suffix}"
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything needed to reproduce one experiment.
+
+    The defaults are the settings the two paper experiments share.
     """
 
-    sigma: float
-    loss: LossSpec
-    budget: int
-    schedule: Doubling | Discretized
-    estimator: EstimatorConfig
-    split: SplitMode
-    scale: float = 8.0
+    experiment: str
+    dims: tuple[int, ...]
+    ranks: tuple[int, ...]
+    sigma: float = 0.1
+    bound_a: float = 4.0
+    budget: int = 0
+    strategies: tuple[StrategySpec, ...] = (
+        StrategySpec("malocate", p=1.0),
+        StrategySpec("malocate", p=math.inf),
+        StrategySpec("uniform"),
+        StrategySpec("oracle"),
+    )
+    schedule: Doubling | Discretized = field(default_factory=Discretized)
+    split: SplitMode = SplitMode.BY_MULTIPLICITY
+    estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
+    confidence_scale: float = TUNED_CONFIDENCE_SCALE
+    reps: int = 15
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        if len(self.dims) != len(self.ranks) or not self.dims:
+            raise ValueError("dims and ranks must be nonempty and aligned")
+        for d, r in zip(self.dims, self.ranks):
+            if d < 2 or not 1 <= r <= d:
+                raise ValueError(f"invalid (dim, rank) pair ({d}, {r})")
+        # Chained comparisons reject NaN as well as inf.
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be nonnegative and finite")
+        if not 0 < self.bound_a < math.inf:
+            raise ValueError("bound_a must be positive and finite")
+        if self.budget < 1:
+            raise ValueError("budget must be positive")
+        if not 0 < self.confidence_scale < math.inf:
+            raise ValueError("confidence_scale must be positive and finite")
+        if self.reps < 1:
+            raise ValueError("reps must be >= 1")
+        if not self.strategies:
+            raise ValueError("at least one strategy is required")
+        seen = set()
+        for s in self.strategies:
+            if s.weights is not None and len(s.weights) != len(self.dims):
+                raise ValueError(
+                    f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
+                )
+            if (s.kind, s.p) in seen:
+                raise ValueError(f"duplicate strategy {s.label}: kind and p must differ")
+            seen.add((s.kind, s.p))
+
+    @property
+    def num_matrices(self) -> int:
+        return len(self.dims)
+
+    def specs(self) -> list[MatrixSpec]:
+        return [
+            MatrixSpec(index=k + 1, dim=d, rank_bound=r, bound=self.bound_a)
+            for k, (d, r) in enumerate(zip(self.dims, self.ranks))
+        ]
 
 
 @dataclass
@@ -208,14 +275,15 @@ def initial_batch(dim: int) -> int:
     return 4 * math.ceil((dim * math.log(dim) + 1) / 2)
 
 
-def select_index(states: list[ArmState], loss: LossSpec) -> int:
-    """Position of the arm the adaptive criterion picks next.
+def select_index(states: list[ArmState], p: float, weights=None) -> int:
+    """Position of the arm the adaptive criterion for the p-loss picks next.
 
     Arms at their observation cap are excluded. Among the rest, an arm
     with an infinite band (never successfully evaluated) is chosen
     first, lowest position winning. Otherwise the score is
     w^(1/p) * d^2 * B * T^(-1/p) for finite p and w * d^2 * B for
-    p = inf; ties break to the lowest position.
+    p = inf, with the arm's weight w from ``weights`` (one per arm,
+    default all one); ties break to the lowest position.
     """
     available = [i for i, s in enumerate(states) if not s.at_cap]
     if not available:
@@ -226,24 +294,24 @@ def select_index(states: list[ArmState], loss: LossSpec) -> int:
     best, best_score = -1, -math.inf
     for i in available:
         s = states[i]
-        w = loss.weight(i)
+        w = 1.0 if weights is None else weights[i]
         d2b = s.dim * s.dim * s.band
-        if math.isinf(loss.p):
+        if math.isinf(p):
             score = w * d2b
         else:
-            score = w ** (1.0 / loss.p) * d2b * s.samples_spent ** (-1.0 / loss.p)
+            score = w ** (1.0 / p) * d2b * s.samples_spent ** (-1.0 / p)
         if score > best_score:
             best, best_score = i, score
     return best
 
 
-def loss_from_errors(errors, loss: LossSpec) -> float:
-    """Aggregate per-matrix squared errors into the p-loss."""
+def loss_from_errors(errors, p: float, weights=None) -> float:
+    """Weighted p-loss of per-matrix squared errors; ``weights`` default to one."""
     e = np.asarray(errors, dtype=np.float64)
-    w = np.ones_like(e) if loss.weights is None else np.asarray(loss.weights)
-    if math.isinf(loss.p):
+    w = np.ones_like(e) if weights is None else np.asarray(weights)
+    if math.isinf(p):
         return float(np.max(w * e))
-    return float(np.sum(w * e**loss.p) ** (1.0 / loss.p))
+    return float(np.sum(w * e**p) ** (1.0 / p))
 
 
 def _true_errors(states: list[ArmState]) -> list[float]:
@@ -259,14 +327,14 @@ def _true_errors(states: list[ArmState]) -> list[float]:
     return [s.sq_err for s in states]
 
 
-def _refit(state: ArmState, spec: RunSpec) -> None:
+def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
     """Fit on the train part of the arm's data, band the rest, accept if not worse."""
-    train, eval_part = split_dataset(state.data, spec.split)
+    train, eval_part = split_dataset(state.data, cfg.split)
     if len(train) == 0:
         return
     matrix = state.truth.spec
-    est = soft_impute_fit(train, matrix, spec.estimator, warm=state.current)
-    bundle = estimate_error_bound(est, eval_part, matrix.dim, matrix.bound, spec.scale)
+    est = soft_impute_fit(train, matrix, cfg.estimator, warm=state.current)
+    bundle = estimate_error_bound(est, eval_part, matrix.dim, matrix.bound, cfg.confidence_scale)
     if bundle.b <= state.band:
         state.current = est
         state.band = bundle.b
@@ -274,19 +342,18 @@ def _refit(state: ArmState, spec: RunSpec) -> None:
 
 
 def _run(
-    problem: list[GroundTruth], spec: RunSpec, rng, chooser
+    problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng, chooser
 ) -> tuple[list[MatrixEstimate], RunTrace]:
+    """Spend ``cfg.budget`` on ``problem``; ``chooser`` names each next arm."""
     K = len(problem)
     if K == 0:
         raise ValueError("problem must contain at least one matrix")
-    loss, schedule, budget = spec.loss, spec.schedule, spec.budget
-    if loss.weights is not None and len(loss.weights) != K:
+    weights, schedule, budget = strategy.weights, cfg.schedule, cfg.budget
+    if weights is not None and len(weights) != K:
         raise ValueError("weights length must match the number of matrices")
     key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
     streams = [named_stream(*key, pos) for pos in range(K)]
     states = [ArmState(truth=gt) for gt in problem]
-    loss_p1 = LossSpec(p=1, weights=loss.weights)
-    loss_pinf = LossSpec(p=math.inf, weights=loss.weights)
     trace = RunTrace(
         truth_hashes=tuple(
             hashlib.sha256(np.ascontiguousarray(gt.entries).tobytes()).hexdigest()
@@ -315,14 +382,14 @@ def _run(
         t_k = state.samples_spent
         desired = schedule.next_batch(t_k, free) if t_k else init[pos]
         batch = min(desired, budget - spent, state.cap - t_k)
-        fresh = new_samples(state.truth, spec.sigma, batch, streams[pos])
+        fresh = new_samples(state.truth, cfg.sigma, batch, streams[pos])
         state.samples_spent += batch
         spent += batch
         if schedule.reuse_samples and state.data is not None:
             state.data = state.data.extend(fresh)
         else:
             state.data = fresh
-        _refit(state, spec)
+        _refit(state, cfg)
         errors = _true_errors(states)
         trace.events.append(
             TraceEvent(
@@ -332,8 +399,8 @@ def _run(
                 b_values=tuple(s.band for s in states),
                 t_values=tuple(s.samples_spent for s in states),
                 true_errors=tuple(e / s.cap for e, s in zip(errors, states)),
-                loss_p1=loss_from_errors(errors, loss_p1),
-                loss_pinf=loss_from_errors(errors, loss_pinf),
+                loss_p1=loss_from_errors(errors, 1, weights),
+                loss_pinf=loss_from_errors(errors, math.inf, weights),
             )
         )
 
@@ -347,14 +414,18 @@ def _run(
 
 
 def malocate_run(
-    problem: list[GroundTruth], spec: RunSpec, rng
+    problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
-    """Adaptive run: each step samples argmax of the band criterion."""
-    return _run(problem, spec, rng, chooser=lambda states: select_index(states, spec.loss))
+    """Adaptive run: each step samples argmax of the band criterion for ``strategy.p``."""
+
+    def chooser(states: list[ArmState]) -> int:
+        return select_index(states, strategy.p, strategy.weights)
+
+    return _run(problem, cfg, strategy, rng, chooser=chooser)
 
 
 def uniform_run(
-    problem: list[GroundTruth], spec: RunSpec, rng
+    problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Round-robin baseline under the same schedule and update guard."""
     cursor = [0]
@@ -368,11 +439,11 @@ def uniform_run(
                 return pos
         raise AllArmsCapped
 
-    return _run(problem, spec, rng, chooser=chooser)
+    return _run(problem, cfg, strategy, rng, chooser=chooser)
 
 
 def oracle_run(
-    problem: list[GroundTruth], spec: RunSpec, rng
+    problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Baseline that allocates to the largest weighted per-entry true error.
 
@@ -388,11 +459,12 @@ def oracle_run(
             if states[i].current is None:
                 return i
         errors = _true_errors(states)
+        weights = strategy.weights
         best, best_score = -1, -math.inf
         for i in available:
-            score = spec.loss.weight(i) * errors[i] / states[i].cap
+            score = (1.0 if weights is None else weights[i]) * errors[i] / states[i].cap
             if score > best_score:
                 best, best_score = i, score
         return best
 
-    return _run(problem, spec, rng, chooser=chooser)
+    return _run(problem, cfg, strategy, rng, chooser=chooser)

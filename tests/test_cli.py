@@ -4,16 +4,17 @@ from dataclasses import replace
 
 import pytest
 
-from amcsim import config_to_dict, load_config
-from amcsim import cli, harness
-from amcsim.cli import main
-from amcsim.harness import (
+from amcsim import (
     Discretized,
     EstimatorConfig,
     ExperimentConfig,
     StrategySpec,
+    config_to_dict,
+    load_config,
     read_metrics_csv,
 )
+from amcsim import cli, harness
+from amcsim.cli import main
 
 
 def small_config_file(tmp_path, **overrides):
@@ -96,7 +97,7 @@ def test_run_rejects_bool_number(tmp_path, capsys):
     assert "amcsim: error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1]])
+@pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1]])
 def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, weights):
     # A malocate job with bad weights listed after a uniform one must fail
     # when the config loads, not after the uniform job has run.
@@ -139,7 +140,8 @@ def test_config_echo_independent_of_out(tmp_path):
 
 
 def test_run_rejects_unusable_out_before_any_job(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(harness, "_execute_strategy", lambda *a: pytest.fail("jobs started"))
+    for runner in ("malocate_run", "uniform_run", "oracle_run"):
+        monkeypatch.setattr(harness, runner, lambda *a: pytest.fail("jobs started"))
     cfg_path = small_config_file(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("")

@@ -15,7 +15,6 @@ from amcsim import (
     EstimatorConfig,
     ExperimentConfig,
     ExperimentResult,
-    LossSpec,
     SplitMode,
     StrategySpec,
     aggregate,
@@ -457,7 +456,9 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="must be a number"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1]])
+    @pytest.mark.parametrize(
+        "weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1], ["inf", 1]]
+    )
     def test_bad_strategy_weights_rejected_at_load(self, weights):
         raw = {
             "dims": [8, 8],
@@ -467,7 +468,33 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match="weights"):
             config_from_dict(raw)
         raw["strategies"][1]["weights"] = [1, 2]
-        assert config_from_dict(raw).strategies[1].loss == LossSpec(1.0, (1.0, 2.0))
+        strategy = config_from_dict(raw).strategies[1]
+        assert (strategy.p, strategy.weights) == (1.0, (1.0, 2.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("sigma",),
+            ("bound_a",),
+            ("confidence_scale",),
+            ("estimator", "tol"),
+            ("estimator", "lambda_scale"),
+        ],
+    )
+    def test_non_finite_settings_rejected_at_load(self, path, value):
+        # NaN passes a plain `x <= 0` check, and a NaN or inf setting makes
+        # a run go wrong or fail mid-run, so each must fail at load.
+        raw = config_to_dict(tiny_config())
+        *parents, key = path
+        target = raw
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            config_from_dict(raw)
+        target[key] = 0.0 if key in ("sigma", "lambda_scale") else 1.0
+        config_from_dict(raw)
 
     def test_duplicate_strategy_label_rejected_at_load(self):
         # metrics.csv and summary.csv label a strategy by (kind, p) alone,

@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports and binds each name it exports.
 
 No linter ships with the package, so this stands in for an
 unused-import check: a name bound by an import must be read somewhere
 in the module (annotations count) or be listed in its ``__all__``.
-``__init__`` only re-exports and is skipped.
+``__init__`` only re-exports and is skipped there. Every name in a
+module's ``__all__`` must be bound at its top level, and ``__init__``
+may re-export only names that their module lists in ``__all__``. All
+checks read the source with ``ast`` and import nothing.
 """
 import ast
 from pathlib import Path
@@ -12,6 +15,16 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "amcsim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def exported(tree: ast.Module) -> list[str]:
+    """The names in a module's ``__all__``, or none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -25,16 +38,11 @@ def unused_imports(source: str) -> list[str]:
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported = set(ast.literal_eval(node.value))
+    public = set(exported(tree))
     return sorted(
         f"{name} (line {line})"
         for name, line in imported.items()
-        if name not in used and name not in exported
+        if name not in used and name not in public
     )
 
 
@@ -46,3 +54,41 @@ def test_detector_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level: defs, classes, assignments, imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return names
+
+
+def tree_of(name: str) -> ast.Module:
+    return ast.parse((PACKAGE / f"{name}.py").read_text())
+
+
+def test_detector_flags_a_stale_export():
+    tree = ast.parse("from .a import b\n__all__ = ['b', 'Gone', 'f']\ndef f(): pass\n")
+    assert set(exported(tree)) - top_level_names(tree) == {"Gone"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_are_bound(path):
+    tree = ast.parse(path.read_text())
+    assert sorted(set(exported(tree)) - top_level_names(tree)) == []
+
+
+def test_package_reexports_only_exported_names():
+    stale = []
+    for node in tree_of("__init__").body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            public = set(exported(tree_of(node.module)))
+            stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
+    assert stale == []

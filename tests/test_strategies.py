@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcsim import (
     AllArmsCapped,
@@ -10,10 +12,10 @@ from amcsim import (
     Discretized,
     Doubling,
     EstimatorConfig,
-    LossSpec,
+    ExperimentConfig,
     MatrixSpec,
-    RunSpec,
     SplitMode,
+    StrategySpec,
     generate_ground_truth,
     initial_batch,
     loss_from_errors,
@@ -25,6 +27,10 @@ from amcsim import (
 from amcsim.strategies import _true_errors
 
 FAST_CFG = EstimatorConfig(max_iters=60, tol=1e-4)
+P1 = StrategySpec("malocate", p=1.0)
+PINF = StrategySpec("malocate", p=math.inf)
+UNIFORM = StrategySpec("uniform")
+ORACLE = StrategySpec("oracle")
 
 
 def make_problem(dims, ranks, seed=0, bound=4.0):
@@ -33,6 +39,16 @@ def make_problem(dims, ranks, seed=0, bound=4.0):
         spec = MatrixSpec(index=pos + 1, dim=d, rank_bound=r, bound=bound)
         truths.append(generate_ground_truth(spec, (seed, pos)))
     return truths
+
+
+def run_config(truths, **settings):
+    """An ExperimentConfig with the dims and ranks of ``truths`` and ``settings``."""
+    return ExperimentConfig(
+        experiment="test",
+        dims=[gt.spec.dim for gt in truths],
+        ranks=[gt.spec.rank_bound for gt in truths],
+        **settings,
+    )
 
 
 def arm(dim, band, spent, index=1, seed=0):
@@ -61,33 +77,32 @@ class TestInitialBatch:
 class TestSelectIndex:
     def test_max_loss_criterion(self):
         states = [arm(20, 0.5, 100, index=1), arm(20, 0.1, 100, index=2)]
-        assert select_index(states, LossSpec(p=math.inf)) == 0
+        assert select_index(states, math.inf) == 0
 
     def test_sum_loss_divides_by_samples(self):
         states = [arm(30, 0.5, 100, index=1), arm(30, 0.1, 500, index=2)]
         # d^2 B / T scores: 4.5 vs 0.18
-        assert select_index(states, LossSpec(p=1.0)) == 0
+        assert select_index(states, 1.0) == 0
 
     def test_uninitialized_first(self):
         states = [arm(20, math.inf, 0, index=1), arm(20, 0.3, 100, index=2)]
         for p in (1.0, 2.0, math.inf):
-            assert select_index(states, LossSpec(p=p)) == 0
+            assert select_index(states, p) == 0
 
     def test_capped_arms_excluded(self):
         states = [arm(10, 5.0, 100, index=1), arm(10, 0.1, 50, index=2)]
         # arm 0 sits exactly at its d^2 = 100 cap despite the bigger band
-        assert select_index(states, LossSpec(p=math.inf)) == 1
+        assert select_index(states, math.inf) == 1
 
     def test_all_capped_raises(self):
         states = [arm(5, 0.5, 25, index=1)]
         with pytest.raises(AllArmsCapped):
-            select_index(states, LossSpec(p=math.inf))
+            select_index(states, math.inf)
 
     def test_weights_tilt_choice(self):
         states = [arm(20, 0.5, 100, index=1), arm(20, 0.4, 100, index=2)]
-        assert select_index(states, LossSpec(p=math.inf)) == 0
-        weighted = LossSpec(p=math.inf, weights=(1.0, 10.0))
-        assert select_index(states, weighted) == 1
+        assert select_index(states, math.inf) == 0
+        assert select_index(states, math.inf, (1.0, 10.0)) == 1
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(0)
@@ -98,41 +113,39 @@ class TestSelectIndex:
             for s, b, t in zip(base_states, bands, spent):
                 s.band, s.samples_spent = float(b), int(t)
             for p in (1.0, 3.0, math.inf):
-                loss = LossSpec(p=p)
-                before = select_index(base_states, loss)
+                before = select_index(base_states, p)
                 c = float(rng.uniform(0.2, 5.0))
                 for s in base_states:
                     s.band *= c
-                after = select_index(base_states, loss)
+                after = select_index(base_states, p)
                 for s in base_states:
                     s.band /= c
                 assert before == after
 
     def test_tie_breaks_to_lowest(self):
         states = [arm(20, 0.5, 100, index=1), arm(20, 0.5, 100, index=2)]
-        assert select_index(states, LossSpec(p=math.inf)) == 0
+        assert select_index(states, math.inf) == 0
 
 
 class TestComputeLoss:
     def test_sum(self):
-        assert loss_from_errors([4.0, 9.0], LossSpec(p=1.0)) == pytest.approx(13.0)
+        assert loss_from_errors([4.0, 9.0], 1.0) == pytest.approx(13.0)
 
     def test_max(self):
-        assert loss_from_errors([4.0, 9.0], LossSpec(p=math.inf)) == pytest.approx(9.0)
+        assert loss_from_errors([4.0, 9.0], math.inf) == pytest.approx(9.0)
 
     def test_p_two(self):
-        assert loss_from_errors([4.0, 9.0], LossSpec(p=2.0)) == pytest.approx(math.sqrt(97))
+        assert loss_from_errors([4.0, 9.0], 2.0) == pytest.approx(math.sqrt(97))
 
     def test_weights(self):
-        loss = LossSpec(p=1.0, weights=(2.0, 1.0))
-        assert loss_from_errors([4.0, 9.0], loss) == pytest.approx(17.0)
+        assert loss_from_errors([4.0, 9.0], 1.0, (2.0, 1.0)) == pytest.approx(17.0)
 
     def test_monotone_in_p(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             errors = rng.uniform(0, 5, size=rng.integers(1, 6))
             values = [
-                loss_from_errors(errors, LossSpec(p=p)) for p in (1, 2, 4, math.inf)
+                loss_from_errors(errors, p) for p in (1, 2, 4, math.inf)
             ]
             for a, b in zip(values, values[1:]):
                 assert b <= a + 1e-12
@@ -145,19 +158,20 @@ class TestComputeLoss:
 
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
-            LossSpec(p=0.5)
+            StrategySpec("malocate", p=0.5)
         with pytest.raises(ValueError):
-            LossSpec(p=1.0, weights=(1.0, -1.0))
+            StrategySpec("malocate", p=1.0, weights=(1.0, -1.0))
 
 
 class TestDoublingRuns:
     def test_single_arm_doubles(self):
         truths = make_problem([20], [2], seed=5)
         n = 2000
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
+        cfg = run_config(
+            truths, sigma=0.1, budget=n, schedule=Doubling(), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=8.0,
         )
-        _, trace = malocate_run(truths, spec, rng=3)
+        _, trace = malocate_run(truths, cfg, P1, rng=3)
         base = initial_batch(20)
         spent = [e.t_values[0] for e in trace.events]
         expected = []
@@ -172,11 +186,11 @@ class TestDoublingRuns:
     def test_budget_accounting(self):
         truths = make_problem([16, 20], [2, 2], seed=6)
         n = 1500
-        spec = RunSpec(
-            0.1, LossSpec(p=math.inf), n,
-            Doubling(), FAST_CFG, SplitMode.HALVES,
+        cfg = run_config(
+            truths, sigma=0.1, budget=n, schedule=Doubling(), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=8.0,
         )
-        _, trace = malocate_run(truths, spec, rng=4)
+        _, trace = malocate_run(truths, cfg, PINF, rng=4)
         for event in trace.events:
             assert sum(event.t_values) == event.t
             assert event.t <= n
@@ -186,29 +200,31 @@ class TestDoublingRuns:
 
     def test_budget_too_small_rejected(self):
         truths = make_problem([30, 30], [2, 2])
-        spec = RunSpec(
-            0.0, LossSpec(p=1.0), 100, Doubling(), FAST_CFG, SplitMode.HALVES
+        cfg = run_config(
+            truths, sigma=0.0, budget=100, schedule=Doubling(), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=8.0,
         )
         with pytest.raises(ValueError):
-            malocate_run(truths, spec, rng=0)
+            malocate_run(truths, cfg, P1, rng=0)
 
     def test_caps_end_run_early(self):
         truths = make_problem([8, 8], [1, 1], seed=7)
         n = 8 * 8 * 4  # far more than both caps
-        spec = RunSpec(
-            0.05, LossSpec(p=1.0), n, Doubling(), FAST_CFG, SplitMode.HALVES
+        cfg = run_config(
+            truths, sigma=0.05, budget=n, schedule=Doubling(), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=8.0,
         )
-        _, trace = malocate_run(truths, spec, rng=5)
+        _, trace = malocate_run(truths, cfg, P1, rng=5)
         assert trace.ended_early
         assert trace.events[-1].t_values == (64, 64)
 
     def test_b_monotone_and_guarded_updates(self):
         truths = make_problem([20, 24], [2, 3], seed=8)
-        spec = RunSpec(
-            0.1, LossSpec(p=math.inf), 3000,
-            Doubling(), FAST_CFG, SplitMode.HALVES,
+        cfg = run_config(
+            truths, sigma=0.1, budget=3000, schedule=Doubling(), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=8.0,
         )
-        estimates, trace = malocate_run(truths, spec, rng=6)
+        estimates, trace = malocate_run(truths, cfg, PINF, rng=6)
         prev_b = (math.inf, math.inf)
         prev_err = None
         for event in trace.events:
@@ -231,13 +247,13 @@ class TestDoublingRuns:
         # exact-recovery regime once the iteration is allowed to converge
         truths = make_problem([30, 30], [2, 2], seed=9)
         n = 2 * 30 * 30
-        cfg = EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9)
-        spec = RunSpec(
-            0.0, LossSpec(p=math.inf), n,
-            Discretized(8, 20, reuse_samples=True), cfg,
-            SplitMode.BY_MULTIPLICITY, scale=0.0625,
+        cfg = run_config(
+            truths, sigma=0.0, budget=n,
+            schedule=Discretized(8, 20, reuse_samples=True),
+            estimator=EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9),
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
         )
-        estimates, trace = malocate_run(truths, spec, rng=7)
+        estimates, trace = malocate_run(truths, cfg, PINF, rng=7)
         errors = [
             float(np.sum((est.values - gt.entries) ** 2)) / 30**2
             for est, gt in zip(estimates, truths)
@@ -253,12 +269,12 @@ class TestDiscretizedRuns:
         # d^2 clamp cannot bind whatever the chooser does:
         # n - (K - 1) * init = 720 - 320 <= 400
         n = 720
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n,
-            Discretized(init_multiplier=8, num_batches=10), FAST_CFG,
-            SplitMode.BY_MULTIPLICITY, scale=0.0625,
+        cfg = run_config(
+            truths, sigma=0.1, budget=n,
+            schedule=Discretized(init_multiplier=8, num_batches=10), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
         )
-        _, trace = malocate_run(truths, spec, rng=8)
+        _, trace = malocate_run(truths, cfg, P1, rng=8)
         init = [e.batch for e in trace.events[:3]]
         assert init == [160, 160, 160]
         free = n - 480
@@ -272,37 +288,36 @@ class TestDiscretizedRuns:
     def test_uniform_round_robin_equalizes(self):
         truths = make_problem([16, 16, 16, 16], [2, 2, 2, 2], seed=11)
         n = 2000
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n,
-            Discretized(init_multiplier=8, num_batches=12), FAST_CFG,
-            SplitMode.BY_MULTIPLICITY, scale=0.0625,
+        cfg = run_config(
+            truths, sigma=0.1, budget=n,
+            schedule=Discretized(init_multiplier=8, num_batches=12), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
         )
-        _, trace = uniform_run(truths, spec, rng=9)
+        _, trace = uniform_run(truths, cfg, UNIFORM, rng=9)
         final = trace.events[-1].t_values
         sub = math.ceil((n - 4 * 128) / 12)
         assert max(final) - min(final) <= sub
 
     def test_single_arm_strategies_agree(self):
         truths = make_problem([20], [2], seed=12)
-        n = 1200
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n,
-            Discretized(8, 8), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
+        cfg = run_config(
+            truths, sigma=0.1, budget=1200, schedule=Discretized(8, 8), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
         )
-        _, t_mal = malocate_run(truths, spec, rng=10)
-        _, t_uni = uniform_run(truths, spec, rng=10)
+        _, t_mal = malocate_run(truths, cfg, P1, rng=10)
+        _, t_uni = uniform_run(truths, cfg, UNIFORM, rng=10)
         assert [e.t_values for e in t_mal.events] == [e.t_values for e in t_uni.events]
         assert [e.loss_p1 for e in t_mal.events] == [e.loss_p1 for e in t_uni.events]
 
     def test_reuse_accumulates_training_data(self):
         truths = make_problem([20], [2], seed=13)
         n = 1000
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n,
-            Discretized(8, 5, reuse_samples=True), FAST_CFG,
-            SplitMode.HALVES, scale=0.0625,
+        cfg = run_config(
+            truths, sigma=0.1, budget=n,
+            schedule=Discretized(8, 5, reuse_samples=True), estimator=FAST_CFG,
+            split=SplitMode.HALVES, confidence_scale=0.0625,
         )
-        _, trace = malocate_run(truths, spec, rng=11)
+        _, trace = malocate_run(truths, cfg, P1, rng=11)
         # under HALVES with reuse, trained_on grows with accumulated data
         assert trace.events[-1].t_values[0] == min(n, 400)
 
@@ -314,15 +329,15 @@ class TestInitClampedToCap:
     def test_budget_of_clamped_init(self, dim, schedule):
         truths = make_problem([dim, dim], [1, 1], seed=15)
         n = 2 * dim * dim
-        spec = RunSpec(
-            0.1, LossSpec(p=1.0), n, schedule,
-            FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        cfg = run_config(
+            truths, sigma=0.1, budget=n, schedule=schedule, estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
         )
-        _, trace = malocate_run(truths, spec, rng=13)
+        _, trace = malocate_run(truths, cfg, P1, rng=13)
         assert [e.batch for e in trace.events] == [dim * dim, dim * dim]
         assert trace.events[-1].t == n
         with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
-            malocate_run(truths, replace(spec, budget=n - 1), rng=13)
+            malocate_run(truths, replace(cfg, budget=n - 1), P1, rng=13)
 
 
 class TestOracleRun:
@@ -333,11 +348,11 @@ class TestOracleRun:
         # equal split: the free budget fits in one arm's remaining
         # capacity, n - 2 * 192 <= 576 - 192, i.e. n <= 768
         n = 768
-        spec = RunSpec(
-            0.05, LossSpec(p=math.inf), n,
-            Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        cfg = run_config(
+            truths, sigma=0.05, budget=n, schedule=Discretized(8, 12), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
         )
-        _, trace = oracle_run(truths, spec, rng=12)
+        _, trace = oracle_run(truths, cfg, ORACLE, rng=12)
         final = trace.events[-1].t_values
         assert final[0] > final[1]
 
@@ -345,13 +360,13 @@ class TestOracleRun:
         # The instance above: unweighted, the oracle spends the free budget
         # on the hard arm; weight 10 on the easy arm sends it there instead.
         truths = make_problem([24, 24], [8, 1], seed=14)
-        spec = RunSpec(
-            0.05, LossSpec(p=math.inf), 768,
-            Discretized(8, 12), FAST_CFG, SplitMode.BY_MULTIPLICITY,
+        cfg = run_config(
+            truths, sigma=0.05, budget=768, schedule=Discretized(8, 12), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
         )
-        weighted = replace(spec, loss=LossSpec(p=math.inf, weights=(1.0, 10.0)))
-        _, plain = oracle_run(truths, spec, rng=12)
-        _, tilted = oracle_run(truths, weighted, rng=12)
+        weighted = StrategySpec("oracle", weights=(1.0, 10.0))
+        _, plain = oracle_run(truths, cfg, ORACLE, rng=12)
+        _, tilted = oracle_run(truths, cfg, weighted, rng=12)
         assert plain.events[-1].t_values == (576, 192)
         assert tilted.events[-1].t_values == (192, 576)
 
@@ -361,13 +376,12 @@ class TestOracleRun:
         seeds = range(6)
         for seed in seeds:
             truths = make_problem([20, 20], [5, 1], seed=seed)
-            n = 800
-            spec = RunSpec(
-                0.05, LossSpec(p=math.inf), n,
-                Discretized(8, 10), FAST_CFG, SplitMode.BY_MULTIPLICITY, scale=0.0625,
+            cfg = run_config(
+                truths, sigma=0.05, budget=800, schedule=Discretized(8, 10),
+                estimator=FAST_CFG, split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
             )
-            _, t_orc = oracle_run(truths, spec, rng=100 + seed)
-            _, t_mal = malocate_run(truths, spec, rng=100 + seed)
+            _, t_orc = oracle_run(truths, cfg, ORACLE, rng=100 + seed)
+            _, t_mal = malocate_run(truths, cfg, PINF, rng=100 + seed)
             if t_orc.events[-1].loss_pinf <= t_mal.events[-1].loss_pinf:
                 wins += 1
         assert wins >= len(seeds) // 2
@@ -380,15 +394,84 @@ class TestGoodAllocation:
         ratios = []
         for seed in range(10):
             truths = make_problem([40, 40], [8, 1], seed=20 + seed)
-            n = 2600
-            spec = RunSpec(
-                0.1, LossSpec(p=1.0), n,
-                Discretized(8, 30), EstimatorConfig(max_iters=80, tol=1e-4),
-                SplitMode.BY_MULTIPLICITY, scale=0.0625,
+            cfg = run_config(
+                truths, sigma=0.1, budget=2600, schedule=Discretized(8, 30),
+                estimator=EstimatorConfig(max_iters=80, tol=1e-4),
+                split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
             )
-            _, trace = malocate_run(truths, spec, rng=200 + seed)
+            _, trace = malocate_run(truths, cfg, P1, rng=200 + seed)
             final = trace.events[-1].t_values
             ratios.append(final[0] / final[1])
         median = float(np.median(ratios))
         ideal = 8 ** 0.5
         assert ideal / 4 <= median <= ideal * 4
+
+
+def first_batch(schedule, dim):
+    """The schedule's first-visit batch before the d^2 clamp, written out."""
+    if isinstance(schedule, Doubling):
+        return initial_batch(dim)
+    return schedule.init_multiplier * dim
+
+
+@st.composite
+def loop_instances(draw):
+    """Small problems whose budget lies between the clamped first batches and sum d^2 + 10."""
+    K = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(3, 30), min_size=K, max_size=K))
+    ranks = draw(st.lists(st.integers(1, 2), min_size=K, max_size=K))
+    truths = make_problem(dims, ranks, seed=draw(st.integers(0, 2**16)))
+    schedule = draw(
+        st.just(Doubling())
+        | st.builds(Discretized, st.integers(1, 4), st.integers(1, 6), st.booleans())
+    )
+    cover = sum(min(first_batch(schedule, d), d * d) for d in dims)
+    cfg = run_config(
+        truths,
+        sigma=draw(st.sampled_from([0.0, 0.1])),
+        budget=draw(st.integers(cover, sum(d * d for d in dims) + 10)),
+        schedule=schedule,
+        split=draw(st.sampled_from(SplitMode)),
+        estimator=EstimatorConfig(max_iters=20, tol=1e-3),
+    )
+    return truths, cfg, draw(st.integers(0, 2**16))
+
+
+class TestRunLoopProperty:
+    """The checks b_monotonicity, budget_accounting and doubling_law, on drawn runs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(loop_instances())
+    def test_batches_budget_and_bands(self, instance):
+        truths, cfg, rng = instance
+        schedule, budget = cfg.schedule, cfg.budget
+        caps = [gt.spec.dim ** 2 for gt in truths]
+        free = budget - sum(
+            min(first_batch(schedule, gt.spec.dim), cap) for gt, cap in zip(truths, caps)
+        )
+        runs = [(P1, malocate_run), (PINF, malocate_run), (UNIFORM, uniform_run),
+                (ORACLE, oracle_run)]
+        for strategy, runner in runs:
+            _, trace = runner(truths, cfg, strategy, rng)
+            t_prev, b_prev, spent = [0] * len(truths), [math.inf] * len(truths), 0
+            for event in trace.events:
+                assert sum(event.t_values) == event.t <= budget
+                assert all(t <= cap for t, cap in zip(event.t_values, caps))
+                pos = event.chosen - 1
+                grown = [i for i, (a, b) in enumerate(zip(t_prev, event.t_values)) if a != b]
+                assert grown == [pos]
+                before = t_prev[pos]
+                assert event.t_values[pos] == before + event.batch
+                if before == 0:
+                    law = first_batch(schedule, truths[pos].spec.dim)
+                elif isinstance(schedule, Doubling):
+                    law = before
+                else:
+                    law = math.ceil(free / schedule.num_batches)
+                assert event.batch == min(law, budget - spent, caps[pos] - before)
+                assert all(b <= a for a, b in zip(b_prev, event.b_values))
+                t_prev, b_prev, spent = list(event.t_values), event.b_values, event.t
+            if trace.ended_early:
+                assert t_prev == caps
+            else:
+                assert spent == budget
