@@ -38,7 +38,6 @@ from .problem import (
     new_samples,
 )
 from .strategies import (
-    AllArmsCapped,
     ArmState,
     Discretized,
     Doubling,

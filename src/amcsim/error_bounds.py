@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import MatrixEstimate
 from .problem import Dataset
 
 __all__ = [
@@ -72,8 +73,7 @@ def split_dataset(data: Dataset, mode: SplitMode) -> tuple[Dataset, Dataset]:
         half = n // 2
         order = np.arange(n)
         return data.take(order[:half]), data.take(order[half:])
-    key = data.rows * np.int64(max(data.cols.max(initial=0) + 1, 1)) + data.cols
-    _, inverse, counts = np.unique(key, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(data.entry_keys(), return_inverse=True, return_counts=True)
     once = counts[inverse] == 1
     return data.take(np.flatnonzero(once)), data.take(np.flatnonzero(~once))
 
@@ -91,8 +91,7 @@ def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
         empty_i = np.empty(0, dtype=np.int64)
         empty_f = np.empty(0, dtype=np.float64)
         return empty_i, empty_i.copy(), empty_f, empty_f.copy()
-    width = np.int64(max(eval_data.cols.max(initial=0) + 1, 1))
-    key = eval_data.rows * width + eval_data.cols
+    key = eval_data.entry_keys()
     # Stable sort groups equal keys while preserving arrival order inside
     # each group, so consecutive positions within a group are consecutive
     # observations of that entry.
@@ -112,10 +111,6 @@ def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     )
 
 
-def _estimate_values(est) -> np.ndarray:
-    return est if isinstance(est, np.ndarray) else est.values
-
-
 def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0) -> float:
     """Upper confidence band r_n + scale * A^2 * sqrt(ln d / N).
 
@@ -130,7 +125,7 @@ def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0
     return r_n + scale * bound * bound * math.sqrt(math.log(dim) / n_pairs)
 
 
-def estimate_error_bound(est, eval_data: Dataset, dim: int, bound: float,
+def estimate_error_bound(est: MatrixEstimate, eval_data: Dataset, dim: int, bound: float,
                          scale: float = 8.0) -> ErrorEstimate:
     """Pair the eval sample and bundle (N, r_n, b) for one estimate.
 
@@ -143,6 +138,6 @@ def estimate_error_bound(est, eval_data: Dataset, dim: int, bound: float,
     n_pairs = len(y)
     if n_pairs == 0:
         return ErrorEstimate(n_pairs=0, r_n=None, b=math.inf)
-    m = _estimate_values(est)[rows, cols]
+    m = est.values[rows, cols]
     r_n = float(np.mean((y - m) * (y2 - m)))
     return ErrorEstimate(n_pairs, r_n, b_value(r_n, n_pairs, dim, bound, scale))

@@ -140,15 +140,16 @@ def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * shrunk) @ (v @ wt.T).T, shrunk
 
 
-def _averaged_targets(train: Dataset, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicate observations of an entry into their mean."""
-    key = train.rows * np.int64(dim) + train.cols
-    uniq, inverse = np.unique(key, return_inverse=True)
+def _averaged_targets(train: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse duplicate observations of an entry into their mean, in row-major order."""
+    uniq, inverse = np.unique(train.entry_keys(), return_inverse=True)
+    # seen[k]: one observation of entry k (return_index would sort stably, 2x slower).
+    seen = np.empty(len(uniq), dtype=np.int64)
+    seen[inverse] = np.arange(len(train))
     sums = np.zeros(len(uniq))
     np.add.at(sums, inverse, train.values)
     counts = np.bincount(inverse, minlength=len(uniq))
-    targets = sums / counts
-    return uniq // dim, uniq % dim, targets
+    return train.rows[seen], train.cols[seen], sums / counts
 
 
 def soft_impute_fit(
@@ -180,7 +181,7 @@ def soft_impute_fit(
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
     d = spec.dim
-    obs_rows, obs_cols, targets = _averaged_targets(train, d)
+    obs_rows, obs_cols, targets = _averaged_targets(train)
     lam = lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
     theta = d * lam
 
@@ -242,7 +243,7 @@ def plain_soft_impute(
     Returns the last iterate and the number of steps taken.
     """
     d = spec.dim
-    obs_rows, obs_cols, targets = _averaged_targets(train, d)
+    obs_rows, obs_cols, targets = _averaged_targets(train)
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
     z = np.zeros((d, d))
     for steps in range(1, cfg.max_iters + 1):

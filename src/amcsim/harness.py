@@ -163,8 +163,10 @@ def run_experiment(
     Returns an ``ExperimentResult`` holding every job's trace. Given
     ``out_dir``, metrics.csv and summary.csv are written there from
     those traces, next to config.echo.json, which depends on ``cfg``
-    alone. An ``out_dir`` that cannot be created fails before any job.
+    alone. ``threads`` < 1 or an uncreatable ``out_dir`` fails before any job.
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     truths_by_rep = {rep: _rep_truths(cfg, rep) for rep in range(cfg.reps)}
@@ -179,11 +181,8 @@ def run_experiment(
         return rep, strategy, trace
 
     jobs = [(rep, s_idx) for rep in range(cfg.reps) for s_idx in range(len(cfg.strategies))]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            done = list(pool.map(execute, jobs))  # in submission order
-    else:
-        done = [execute(job) for job in jobs]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        done = list(pool.map(execute, jobs))  # in submission order
     result = ExperimentResult(cfg, tuple(done))
 
     if out_dir:

@@ -87,6 +87,10 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.values)
 
+    def entry_keys(self) -> np.ndarray:
+        """One integer per observation, equal for equal (row, col), row-major ordered."""
+        return self.rows * (self.cols.max(initial=0) + 1) + self.cols
+
     def take(self, idx: np.ndarray) -> "Dataset":
         """Sub-dataset at positions ``idx``, preserving the given order."""
         return Dataset(self.index, self.rows[idx], self.cols[idx], self.values[idx])

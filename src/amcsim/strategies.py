@@ -5,10 +5,10 @@ An ``ExperimentConfig`` holds the settings of a run and a
 sequential loop, ``_run``, which reads its settings from the config: an
 adaptive rule that samples the matrix with the largest band-per-sample
 criterion, a round-robin baseline, and an oracle that reads the true
-errors. They differ only in the chooser that names the next matrix.
-Each step requests a batch of fresh observations for that matrix,
-refits, re-estimates the error band, and accepts the new estimate only
-when its band improves.
+errors. They differ only in the score they give ``_pick``, the one
+rule that names the next matrix. Each step requests a batch of fresh
+observations for that matrix, refits, re-estimates the error band, and
+accepts the new estimate only when its band improves.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -36,7 +36,6 @@ __all__ = [
     "Discretized",
     "RunTrace",
     "TraceEvent",
-    "AllArmsCapped",
     "initial_batch",
     "select_index",
     "loss_from_errors",
@@ -44,10 +43,6 @@ __all__ = [
     "uniform_run",
     "oracle_run",
 ]
-
-
-class AllArmsCapped(Exception):
-    """Every matrix has reached its observation cap; the run is complete."""
 
 
 @dataclass(frozen=True)
@@ -275,6 +270,19 @@ def initial_batch(dim: int) -> int:
     return 4 * math.ceil((dim * math.log(dim) + 1) / 2)
 
 
+def _pick(states: list[ArmState], first, score) -> int:
+    """Among arms below their cap, the lowest position with ``first(state)``,
+    else the largest ``score(pos, state)``, ties going to the lowest position.
+    """
+    available = [pos for pos, s in enumerate(states) if not s.at_cap]
+    if not available:
+        raise ValueError("every arm is at its observation cap")
+    for pos in available:
+        if first(states[pos]):
+            return pos
+    return max(available, key=lambda pos: score(pos, states[pos]))
+
+
 def select_index(states: list[ArmState], p: float, weights=None) -> int:
     """Position of the arm the adaptive criterion for the p-loss picks next.
 
@@ -283,26 +291,18 @@ def select_index(states: list[ArmState], p: float, weights=None) -> int:
     first, lowest position winning. Otherwise the score is
     w^(1/p) * d^2 * B * T^(-1/p) for finite p and w * d^2 * B for
     p = inf, with the arm's weight w from ``weights`` (one per arm,
-    default all one); ties break to the lowest position.
+    default all one); ties break to the lowest position. Raises
+    ``ValueError`` when every arm is at its cap.
     """
-    available = [i for i, s in enumerate(states) if not s.at_cap]
-    if not available:
-        raise AllArmsCapped
-    for i in available:
-        if math.isinf(states[i].band):
-            return i
-    best, best_score = -1, -math.inf
-    for i in available:
-        s = states[i]
-        w = 1.0 if weights is None else weights[i]
+
+    def score(pos: int, s: ArmState) -> float:
+        w = 1.0 if weights is None else weights[pos]
         d2b = s.dim * s.dim * s.band
         if math.isinf(p):
-            score = w * d2b
-        else:
-            score = w ** (1.0 / p) * d2b * s.samples_spent ** (-1.0 / p)
-        if score > best_score:
-            best, best_score = i, score
-    return best
+            return w * d2b
+        return w ** (1.0 / p) * d2b * s.samples_spent ** (-1.0 / p)
+
+    return _pick(states, lambda s: math.isinf(s.band), score)
 
 
 def loss_from_errors(errors, p: float, weights=None) -> float:
@@ -345,12 +345,10 @@ def _run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng, chooser
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Spend ``cfg.budget`` on ``problem``; ``chooser`` names each next arm."""
+    if [gt.spec.dim for gt in problem] != list(cfg.dims):
+        raise ValueError("problem dims must match cfg.dims")
     K = len(problem)
-    if K == 0:
-        raise ValueError("problem must contain at least one matrix")
     weights, schedule, budget = strategy.weights, cfg.schedule, cfg.budget
-    if weights is not None and len(weights) != K:
-        raise ValueError("weights length must match the number of matrices")
     key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
     streams = [named_stream(*key, pos) for pos in range(K)]
     states = [ArmState(truth=gt) for gt in problem]
@@ -373,11 +371,10 @@ def _run(
     while spent < budget:
         pos = next(init_order, None)
         if pos is None:
-            try:
-                pos = chooser(states)
-            except AllArmsCapped:
+            if all(s.at_cap for s in states):
                 trace.ended_early = True
                 break
+            pos = chooser(states)
         state = states[pos]
         t_k = state.samples_spent
         desired = schedule.next_batch(t_k, free) if t_k else init[pos]
@@ -428,16 +425,13 @@ def uniform_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
     """Round-robin baseline under the same schedule and update guard."""
-    cursor = [0]
+    cursor = 0
 
     def chooser(states: list[ArmState]) -> int:
-        K = len(states)
-        for offset in range(K):
-            pos = (cursor[0] + offset) % K
-            if not states[pos].at_cap:
-                cursor[0] = pos + 1
-                return pos
-        raise AllArmsCapped
+        nonlocal cursor
+        pos = _pick(states, lambda s: False, lambda i, s: -((i - cursor) % len(states)))
+        cursor = pos + 1
+        return pos
 
     return _run(problem, cfg, strategy, rng, chooser=chooser)
 
@@ -450,21 +444,12 @@ def oracle_run(
     Ground truth is read for selection only, never for fitting. The score
     of an arm is w_k * e_k / d_k^2, with e_k its squared Frobenius error.
     """
+    weights = strategy.weights
+
+    def score(pos: int, s: ArmState) -> float:
+        return (1.0 if weights is None else weights[pos]) * _true_errors([s])[0] / s.cap
 
     def chooser(states: list[ArmState]) -> int:
-        available = [i for i, s in enumerate(states) if not s.at_cap]
-        if not available:
-            raise AllArmsCapped
-        for i in available:
-            if states[i].current is None:
-                return i
-        errors = _true_errors(states)
-        weights = strategy.weights
-        best, best_score = -1, -math.inf
-        for i in available:
-            score = (1.0 if weights is None else weights[i]) * errors[i] / states[i].cap
-            if score > best_score:
-                best, best_score = i, score
-        return best
+        return _pick(states, lambda s: s.current is None, score)
 
     return _run(problem, cfg, strategy, rng, chooser=chooser)

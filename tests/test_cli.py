@@ -115,6 +115,16 @@ def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, w
     assert not (out / "metrics.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_run_rejects_bad_threads(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(small_config_file(tmp_path)), "--out", str(out),
+                 "--threads", threads])
+    assert code == 1
+    assert "amcsim: error:" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
 def test_run_rejects_duplicate_strategy_label(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     strategies = [{"kind": "malocate", "p": 1}, {"kind": "malocate", "p": 1, "weights": [1, 5]}]

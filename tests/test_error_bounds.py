@@ -7,6 +7,7 @@ from amcsim import (
     Dataset,
     ErrorEstimate,
     GroundTruth,
+    MatrixEstimate,
     MatrixSpec,
     SplitMode,
     b_value,
@@ -17,6 +18,11 @@ from amcsim import (
     split_dataset,
 )
 from amcsim.error_bounds import paired_arrays
+
+
+def as_estimate(values):
+    """A ``MatrixEstimate`` of matrix 1 holding ``values``."""
+    return MatrixEstimate(1, values, 0, 0.0)
 
 
 def make_dataset(entries, index=1):
@@ -106,7 +112,7 @@ class TestPairDoubleSamples:
 
 
 def r_n(est, entries):
-    return estimate_error_bound(est, make_dataset(entries), est.shape[0], 1.0).r_n
+    return estimate_error_bound(as_estimate(est), make_dataset(entries), est.shape[0], 1.0).r_n
 
 
 class TestEstimateError:
@@ -114,7 +120,7 @@ class TestEstimateError:
         spec = MatrixSpec(index=1, dim=4, rank_bound=1)
         gt = generate_ground_truth(spec, 1)
         evl = new_samples(gt, 0.0, 64, named_stream(60))
-        bundle = estimate_error_bound(gt.entries, evl, 4, bound=4.0)
+        bundle = estimate_error_bound(as_estimate(gt.entries), evl, 4, bound=4.0)
         assert bundle.n_pairs >= 1
         assert bundle.r_n == pytest.approx(0.0, abs=1e-15)
 
@@ -140,7 +146,8 @@ class TestEstimateError:
     def test_no_pairs_rejected(self):
         # entries seen once give no pair, hence no estimate and no band
         bundle = estimate_error_bound(
-            np.zeros((2, 2)), make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2, 1.0
+            as_estimate(np.zeros((2, 2))),
+            make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2, 1.0,
         )
         assert (bundle.n_pairs, bundle.r_n, bundle.b) == (0, None, math.inf)
 
@@ -155,7 +162,7 @@ class TestEstimateError:
         samples = []
         for _ in range(1000):
             evl = new_samples(gt, 0.1, 400, rng)
-            bundle = estimate_error_bound(est, evl, d, bound=4.0)
+            bundle = estimate_error_bound(as_estimate(est), evl, d, bound=4.0)
             if bundle.n_pairs:
                 samples.append(bundle.r_n)
         mean = np.mean(samples)
@@ -185,7 +192,7 @@ class TestBValue:
 
 class TestErrorEstimateBundle:
     def test_zero_pairs_gives_infinite_band(self):
-        bundle = estimate_error_bound(np.zeros((3, 3)), Dataset(index=1), 3, 1.0)
+        bundle = estimate_error_bound(as_estimate(np.zeros((3, 3))), Dataset(index=1), 3, 1.0)
         assert bundle.n_pairs == 0
         assert bundle.r_n is None
         assert math.isinf(bundle.b)
@@ -199,7 +206,7 @@ class TestErrorEstimateBundle:
         gt = generate_ground_truth(spec, 5)
         evl = new_samples(gt, 0.2, 300, named_stream(70))
         est = gt.entries * 0.5
-        bundle = estimate_error_bound(est, evl, 10, bound=2.0, scale=4.0)
+        bundle = estimate_error_bound(as_estimate(est), evl, 10, bound=2.0, scale=4.0)
         # pair each entry's looks (1st, 2nd), (3rd, 4th), ... in arrival order
         looks = {}
         for i, j, v in zip(evl.rows, evl.cols, evl.values):

@@ -5,8 +5,11 @@ unused-import check: a name bound by an import must be read somewhere
 in the module (annotations count) or be listed in its ``__all__``.
 ``__init__`` only re-exports and is skipped there. Every name in a
 module's ``__all__`` must be bound at its top level, and ``__init__``
-may re-export only names that their module lists in ``__all__``. All
-checks read the source with ``ast`` and import nothing.
+may re-export only names that their module lists in ``__all__``. Every
+top-level function or class is read somewhere in the package (as a
+name or an attribute) or listed in its module's ``__all__``, so no dead
+definition is left behind. All checks read the source with ``ast`` and
+import nothing.
 """
 import ast
 from pathlib import Path
@@ -92,3 +95,37 @@ def test_package_reexports_only_exported_names():
             public = set(exported(tree_of(node.module)))
             stale += [f"{node.module}.{a.name}" for a in node.names if a.name not in public]
     assert stale == []
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """Top-level functions and classes that no module reads and no ``__all__`` lists."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and node.name not in exported(tree)
+    )
+
+
+def test_detector_flags_a_dead_definition():
+    sources = {
+        "a": "__all__ = ['f']\ndef f(): return _g()\ndef _g(): pass\ndef _orphan(): pass\n",
+        "b": "from . import a\nclass Gone(Exception): pass\ndef h(): a._used()\n"
+             "def _used(): pass\n",
+    }
+    assert dead_definitions(sources) == ["a._orphan", "b.Gone", "b.h"]
+
+
+def test_no_dead_definitions():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert dead_definitions(sources) == []

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amcsim import (
-    AllArmsCapped,
     ArmState,
     Discretized,
     Doubling,
@@ -96,7 +95,7 @@ class TestSelectIndex:
 
     def test_all_capped_raises(self):
         states = [arm(5, 0.5, 25, index=1)]
-        with pytest.raises(AllArmsCapped):
+        with pytest.raises(ValueError):
             select_index(states, math.inf)
 
     def test_weights_tilt_choice(self):
@@ -206,6 +205,14 @@ class TestDoublingRuns:
         )
         with pytest.raises(ValueError):
             malocate_run(truths, cfg, P1, rng=0)
+
+    def test_problem_must_match_config(self):
+        truths = make_problem([8, 10], [1, 1])
+        cfg = run_config(truths, budget=200, schedule=Doubling())
+        for problem in ([], truths[:1], truths[::-1]):
+            for strategy, runner in ((P1, malocate_run), (UNIFORM, uniform_run)):
+                with pytest.raises(ValueError, match="cfg.dims"):
+                    runner(problem, cfg, strategy, rng=0)
 
     def test_caps_end_run_early(self):
         truths = make_problem([8, 8], [1, 1], seed=7)
@@ -437,8 +444,36 @@ def loop_instances(draw):
     return truths, cfg, draw(st.integers(0, 2**16))
 
 
+def expected_pick(strategy, j, last, t_prev, b_prev, dims, caps, schedule):
+    """The selection law written out: the arm event ``j`` must choose.
+
+    ``last`` is the previous pick (-1 before the first) and ``t_prev``,
+    ``b_prev`` the sample counts and bands after it. None for the oracle,
+    whose scores need the estimates.
+    """
+    K = len(dims)
+    if isinstance(schedule, Discretized) and j < K:
+        return j  # the initialization pass visits the arms in order
+    open_arms = [i for i in range(K) if t_prev[i] < caps[i]]
+    if strategy.kind == "uniform":
+        return next(i % K for i in range(last + 1, last + 1 + K) if i % K in open_arms)
+    if strategy.kind != "malocate":
+        return None
+    unbanded = [i for i in open_arms if math.isinf(b_prev[i])]
+    if unbanded:
+        return unbanded[0]
+    p = strategy.p
+    scores = {
+        i: dims[i] * dims[i] * b_prev[i] * (1.0 if math.isinf(p) else t_prev[i] ** (-1.0 / p))
+        for i in open_arms
+    }
+    best = max(scores.values())
+    return min(i for i, score in scores.items() if score == best)
+
+
 class TestRunLoopProperty:
-    """The checks b_monotonicity, budget_accounting and doubling_law, on drawn runs."""
+    """The checks b_monotonicity, budget_accounting and doubling_law, and the
+    selection law, on drawn runs."""
 
     @settings(max_examples=40, deadline=None)
     @given(loop_instances())
@@ -454,10 +489,14 @@ class TestRunLoopProperty:
         for strategy, runner in runs:
             _, trace = runner(truths, cfg, strategy, rng)
             t_prev, b_prev, spent = [0] * len(truths), [math.inf] * len(truths), 0
-            for event in trace.events:
+            dims, last = [gt.spec.dim for gt in truths], -1
+            for j, event in enumerate(trace.events):
                 assert sum(event.t_values) == event.t <= budget
                 assert all(t <= cap for t, cap in zip(event.t_values, caps))
                 pos = event.chosen - 1
+                law_pick = expected_pick(strategy, j, last, t_prev, b_prev, dims, caps, schedule)
+                assert law_pick is None or law_pick == pos
+                last = pos
                 grown = [i for i, (a, b) in enumerate(zip(t_prev, event.t_values)) if a != b]
                 assert grown == [pos]
                 before = t_prev[pos]
