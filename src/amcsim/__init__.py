@@ -1,4 +1,20 @@
-"""Active multiple matrix completion: adaptive allocation with honest bands."""
+"""Active multiple matrix completion: adaptive allocation with honest bands.
+
+Importing the package pins BLAS to one thread per process: it sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+unless they are already set. At the sizes simulated here a multi-threaded
+BLAS is slower and competes with the harness's ``threads`` pool, which is
+then the only parallelism. The pin takes effect only if ``amcsim`` is
+imported before numpy, because the BLAS reads these variables when numpy
+loads it.
+"""
+
+import os
+
+# Before any submodule import, so before numpy loads its BLAS.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .error_bounds import (
     ErrorEstimate,

@@ -27,7 +27,11 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", required=True, help="output directory")
     common.add_argument("--seed", type=int, default=None, help="override master seed")
     common.add_argument("--reps", type=int, default=None, help="override repetitions")
-    common.add_argument("--threads", type=int, default=1, help="concurrent runs")
+    common.add_argument(
+        "--threads", type=int, default=1,
+        help="number of (rep, strategy) jobs run concurrently; each process does "
+             "its BLAS on one thread unless OPENBLAS_NUM_THREADS is set",
+    )
 
     run_p = sub.add_parser(
         "run", parents=[common], help="run an experiment from a JSON config"

@@ -158,8 +158,11 @@ def run_experiment(
     """Run all configured strategies for every repetition.
 
     Ground truths are generated once per repetition and shared by all
-    strategies, so strategy comparisons are paired. Jobs run on up to
-    ``threads`` threads; the result does not depend on how many.
+    strategies, so strategy comparisons are paired. One job is one
+    (rep, strategy) run, and up to ``threads`` jobs run concurrently; the
+    result does not depend on how many. This pool is the only
+    parallelism: importing ``amcsim`` pins BLAS to one thread per process
+    unless ``OPENBLAS_NUM_THREADS`` is set.
     Returns an ``ExperimentResult`` holding every job's trace. Given
     ``out_dir``, metrics.csv and summary.csv are written there from
     those traces, next to config.echo.json, which depends on ``cfg``
