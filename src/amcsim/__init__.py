@@ -32,14 +32,12 @@ from .estimators import (
 )
 from .harness import (
     ExperimentResult,
-    MetricsRow,
     aggregate,
     config_from_dict,
     config_to_dict,
     load_config,
     preset_experiment_1,
     preset_experiment_2,
-    read_metrics_csv,
     run_experiment,
     scaled,
     write_metrics_csv,

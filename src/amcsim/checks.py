@@ -7,10 +7,10 @@ installation.
 """
 from __future__ import annotations
 
+import csv
 import math
 import os
 import tempfile
-from dataclasses import astuple
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .estimators import (
     svt,
 )
 from .harness import (
+    METRICS_HEADER,
     _rep_seed,
     _rep_truths,
     aggregate,
-    read_metrics_csv,
     run_experiment,
     write_metrics_csv,
 )
@@ -167,7 +167,15 @@ def check_csv_round_trip() -> str | None:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "metrics.csv")
         write_metrics_csv(result, path)
-        back = [astuple(row) for row in read_metrics_csv(path)]
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+    if header != METRICS_HEADER.split(","):
+        return f"unexpected metrics header {header}"
+    # rep, seed, t, k and T_k are integers; B_k and the three errors floats.
+    back = [
+        (exp, kind, None if p == "" else float(p), *map(int, rest[:5]), *map(float, rest[5:]))
+        for exp, kind, p, *rest in rows
+    ]
     want = [
         (cfg.experiment, strategy.kind, strategy.p, rep, _rep_seed(cfg.seed, rep), event.t,
          pos + 1, event.t_values[pos], event.b_values[pos], event.true_errors[pos],

@@ -87,10 +87,6 @@ def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     discarded.
     """
     n = len(eval_data)
-    if n == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return empty_i, empty_i.copy(), empty_f, empty_f.copy()
     key = eval_data.entry_keys()
     # Stable sort groups equal keys while preserving arrival order inside
     # each group, so consecutive positions within a group are consecutive

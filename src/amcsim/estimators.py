@@ -53,9 +53,9 @@ class EstimatorConfig:
     ``lambda_scale`` multiplies the regularization schedule; ``tol`` is
     the relative Frobenius change below which iteration stops.
     ``warm_start`` initializes from a previous estimate when one is
-    supplied. ``clip_output`` clamps the fit to [-A, A]. ``debug``
-    asserts that no accepted step raises the objective by more than
-    rounding (1e-9 relative).
+    supplied. ``clip_output`` clamps the fit to [-A, A]. Whatever the
+    knobs, the fit asserts that no accepted step raises the objective
+    by more than rounding (1e-9 relative).
     """
 
     lambda_scale: float = 1.0
@@ -63,7 +63,6 @@ class EstimatorConfig:
     tol: float = 1e-5
     warm_start: bool = True
     clip_output: bool = True
-    debug: bool = False
 
     def __post_init__(self):
         # Chained comparisons reject NaN as well as inf.
@@ -77,7 +76,7 @@ class EstimatorConfig:
 
 @dataclass
 class MatrixEstimate:
-    """A completion estimate with the sample count it was trained on.
+    """A completion estimate of matrix ``index``.
 
     ``iterations`` counts the SVT steps of the fit, rejected ones
     included, and ``converged`` says whether it stopped on ``tol``
@@ -87,8 +86,6 @@ class MatrixEstimate:
 
     index: int
     values: np.ndarray
-    trained_on: int
-    lambda_used: float
     iterations: int = 0
     converged: bool = False
 
@@ -172,9 +169,10 @@ def soft_impute_fit(
     and theta = d * lambda_for(d, |train|, A, C'). With t_k = 1 this is
     the plain SoftImpute step. If Z_new raises the objective while
     t_k > 1, it is dropped and t_k is reset to 1; a plain step is
-    always accepted. Each step, dropped or not, is the exact
-    ``gram_svt``, which makes one thin ``np.linalg.svd`` call, so the
-    SVD count is the iteration count. Stops when an accepted step's
+    always accepted, and one that raises the objective by more than
+    1e-9 relative raises ``AssertionError``. Each step, dropped or not,
+    is the exact ``gram_svt``, which makes one thin ``np.linalg.svd``
+    call, so the SVD count is the iteration count. Stops when an accepted step's
     relative Frobenius change is below ``cfg.tol`` (``converged``) or
     after ``cfg.max_iters`` steps.
     """
@@ -182,8 +180,7 @@ def soft_impute_fit(
         raise ValueError("cannot fit on an empty training set")
     d = spec.dim
     obs_rows, obs_cols, targets = _averaged_targets(train)
-    lam = lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
-    theta = d * lam
+    theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
 
     if cfg.warm_start and warm is not None:
         z = warm.values.astype(np.float64, copy=True)
@@ -209,7 +206,7 @@ def soft_impute_fit(
                 continue
             # A plain step is a proximal gradient step with step 1/L, so
             # it can rise by rounding only.
-            if cfg.debug and new_objective > objective + 1e-9 * max(1.0, objective):
+            if new_objective > objective + 1e-9 * max(1.0, objective):
                 raise AssertionError(
                     f"objective increased at iteration {iterations}: "
                     f"{objective} -> {new_objective}"
@@ -223,14 +220,7 @@ def soft_impute_fit(
 
     if cfg.clip_output:
         np.clip(z, -spec.bound, spec.bound, out=z)
-    return MatrixEstimate(
-        index=spec.index,
-        values=z,
-        trained_on=len(train),
-        lambda_used=lam,
-        iterations=iterations,
-        converged=converged,
-    )
+    return MatrixEstimate(spec.index, z, iterations, converged)
 
 
 def plain_soft_impute(

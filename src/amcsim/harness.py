@@ -11,8 +11,7 @@ metrics.csv is written straight from their events, one row per (refit
 event, matrix), and aggregation reduces the events to
 median/mean/quartile curves of the two losses against spent budget.
 A strategy is labelled by its kind and p in both files, so no two
-strategies of a config may share them. ``MetricsRow`` is what
-``read_metrics_csv`` parses a file back into.
+strategies of a config may share them.
 """
 from __future__ import annotations
 
@@ -40,7 +39,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "MetricsRow",
     "ExperimentResult",
     "preset_experiment_1",
     "preset_experiment_2",
@@ -48,7 +46,6 @@ __all__ = [
     "run_experiment",
     "aggregate",
     "write_metrics_csv",
-    "read_metrics_csv",
     "write_summary_csv",
     "config_to_dict",
     "config_from_dict",
@@ -62,34 +59,11 @@ _ROLE_TRUTH = 0
 _ROLE_OBS = 1
 
 
-@dataclass(frozen=True)
-class MetricsRow:
-    """One (refit event, matrix) row of a metrics.csv, as read back."""
-
-    experiment: str
-    strategy: str
-    p: float | None
-    rep: int
-    seed: int
-    t: int
-    k: int
-    T_k: int
-    B_k: float
-    true_err_k: float
-    loss_p1: float
-    loss_pinf: float
-
-
 def preset_experiment_1() -> ExperimentConfig:
     """Ten 200x200 problems, one rank-40 outlier among rank-10 peers."""
     dims = (200,) * 10
     ranks = (40,) + (10,) * 9
-    return ExperimentConfig(
-        experiment="exp1",
-        dims=dims,
-        ranks=ranks,
-        budget=10 * 200 * 200 // 2,
-    )
+    return ExperimentConfig(experiment="exp1", dims=dims, ranks=ranks)
 
 
 def preset_experiment_2() -> ExperimentConfig:
@@ -101,28 +75,23 @@ def preset_experiment_2() -> ExperimentConfig:
     """
     dims = (200,) * 15
     ranks = tuple(round(18 + 0.0015 * (k - 1) ** 4) for k in range(1, 16))
-    return ExperimentConfig(
-        experiment="exp2",
-        dims=dims,
-        ranks=ranks,
-        budget=15 * 200 * 200 // 2,
-    )
+    return ExperimentConfig(experiment="exp2", dims=dims, ranks=ranks)
 
 
 def scaled(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
     """Desk-scale variant: divide dimensions (and ranks) by ``factor``.
 
-    The budget is recomputed as K d'^2 / 2 so the budget-to-capacity
-    ratio of the original is preserved.
+    The budget reverts to the default sum of d'^2 / 2, so the
+    budget-to-capacity ratio of the presets is preserved. ``factor``
+    must be positive and finite.
     """
-    if factor <= 0:
-        raise ValueError("scale factor must be positive")
+    if not 0 < factor < math.inf:  # rejects NaN too
+        raise ValueError(f"scale factor must be positive and finite, got {factor}")
     dims = tuple(max(2, round(d / factor)) for d in cfg.dims)
     ranks = tuple(
         min(d, max(1, round(r / factor))) for d, r in zip(dims, cfg.ranks)
     )
-    budget = sum(d * d for d in dims) // 2
-    return replace(cfg, dims=dims, ranks=ranks, budget=budget)
+    return replace(cfg, dims=dims, ranks=ranks, budget=None)
 
 
 def _rep_seed(master_seed: int, rep: int) -> int:
@@ -234,20 +203,6 @@ def write_metrics_csv(result: ExperimentResult, path: str) -> None:
                     line % arm
                     for arm in zip(ks, event.t_values, event.b_values, event.true_errors)
                 ))
-
-
-def read_metrics_csv(path: str) -> list[MetricsRow]:
-    """Parse a metrics.csv back into rows (inverse of write_metrics_csv)."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METRICS_HEADER.split(","):
-            raise ValueError(f"unexpected metrics header in {path}")
-        for exp, strategy, p, *rest in reader:  # rep, seed, t, k, T_k, then 4 floats
-            p = None if p == "" else float(p)
-            rows.append(MetricsRow(exp, strategy, p, *map(int, rest[:5]), *map(float, rest[5:])))
-    return rows
 
 
 SUMMARY_HEADER = (
@@ -368,9 +323,11 @@ def _from_json(tp, raw, where: str):
         raise ValueError(f"{where} must be a number, got {raw!r}")
     if tp is int and isinstance(raw, float) and not raw.is_integer():
         raise ValueError(f"{where} must be an integer, got {raw!r}")
+    if tp is str and not isinstance(raw, str):
+        raise ValueError(f"{where} must be a string, got {raw!r}")
     try:
         return tp(raw)
-    except TypeError:
+    except (TypeError, ValueError):
         raise ValueError(f"{where}: expected {tp.__name__}, got {raw!r}") from None
 
 
@@ -382,15 +339,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style mapping; unknown keys are rejected.
 
     A missing key takes the dataclass default, except that ``experiment``
-    defaults to "custom" and ``budget`` to K d^2 / 2.
+    defaults to "custom".
     """
     if not isinstance(raw, dict):
         raise ValueError(f"config must be an object, got {raw!r}")
-    raw = {"experiment": "custom", **raw}
-    if "budget" not in raw:
-        dims = _from_json(tuple[int, ...], raw.get("dims", []), "config.dims")
-        raw["budget"] = sum(d * d for d in dims) // 2
-    return _from_json(ExperimentConfig, raw, "config")
+    return _from_json(ExperimentConfig, {"experiment": "custom", **raw}, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

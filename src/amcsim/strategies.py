@@ -135,7 +135,8 @@ class StrategySpec:
 class ExperimentConfig:
     """Everything needed to reproduce one experiment.
 
-    The defaults are the settings the two paper experiments share.
+    The defaults are the settings the two paper experiments share. A
+    ``budget`` of None becomes the sum of d^2 / 2 over the matrices.
     """
 
     experiment: str
@@ -143,7 +144,7 @@ class ExperimentConfig:
     ranks: tuple[int, ...]
     sigma: float = 0.1
     bound_a: float = 4.0
-    budget: int = 0
+    budget: int | None = None
     strategies: tuple[StrategySpec, ...] = (
         StrategySpec("malocate", p=1.0),
         StrategySpec("malocate", p=math.inf),
@@ -161,6 +162,8 @@ class ExperimentConfig:
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "ranks", tuple(int(r) for r in self.ranks))
         object.__setattr__(self, "strategies", tuple(self.strategies))
+        if self.budget is None:
+            object.__setattr__(self, "budget", sum(d * d for d in self.dims) // 2)
         if len(self.dims) != len(self.ranks) or not self.dims:
             raise ValueError("dims and ranks must be nonempty and aligned")
         for d, r in zip(self.dims, self.ranks):
@@ -177,6 +180,8 @@ class ExperimentConfig:
             raise ValueError("confidence_scale must be positive and finite")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.strategies:
             raise ValueError("at least one strategy is required")
         seen = set()
@@ -404,7 +409,7 @@ def _run(
     estimates = [
         s.current
         if s.current is not None
-        else MatrixEstimate(s.truth.spec.index, np.zeros((s.dim, s.dim)), 0, 0.0)
+        else MatrixEstimate(s.truth.spec.index, np.zeros((s.dim, s.dim)))
         for s in states
     ]
     return estimates, trace

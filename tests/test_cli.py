@@ -11,10 +11,10 @@ from amcsim import (
     StrategySpec,
     config_to_dict,
     load_config,
-    read_metrics_csv,
 )
 from amcsim import cli, harness
 from amcsim.cli import main
+from test_harness import read_rows
 
 
 def small_config_file(tmp_path, **overrides):
@@ -46,7 +46,7 @@ def test_run_subcommand(tmp_path, capsys):
     assert (out / "metrics.csv").exists()
     assert (out / "summary.csv").exists()
     assert (out / "config.echo.json").exists()
-    rows = read_metrics_csv(str(out / "metrics.csv"))
+    rows = read_rows(out / "metrics.csv")
     assert rows and all(r.experiment == "cli" for r in rows)
 
 
@@ -61,7 +61,7 @@ def test_run_with_overrides(tmp_path):
     echoed = json.loads((out / "config.echo.json").read_text())
     assert echoed["seed"] == 9
     assert echoed["reps"] == 2
-    rows = read_metrics_csv(str(out / "metrics.csv"))
+    rows = read_rows(out / "metrics.csv")
     assert {r.rep for r in rows} == {0, 1}
 
 
@@ -87,6 +87,34 @@ def test_run_rejects_fractional_int(tmp_path, capsys):
     code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
     assert code == 1
     assert "amcsim: error:" in capsys.readouterr().err
+
+
+def test_run_rejects_non_string_experiment(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "experiment": None}))
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(bad), "--out", str(out)])
+    assert code == 1
+    assert "amcsim: error: config.experiment must be a string" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-2"])
+def test_preset_rejects_bad_scale(tmp_path, capsys, scale):
+    out = tmp_path / "o"
+    code = main(["preset", "exp1", "--scale", scale, "--out", str(out)])
+    assert code == 1
+    assert "amcsim: error: scale factor must be positive and finite" in capsys.readouterr().err
+    assert not (out / "metrics.csv").exists()
+
+
+def test_run_rejects_negative_seed_before_any_output(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(small_config_file(tmp_path)), "--out", str(out),
+                 "--seed", "-1"])
+    assert code == 1
+    assert "amcsim: error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_bool_number(tmp_path, capsys):
@@ -174,7 +202,7 @@ def test_preset_scaled_runs(tmp_path):
     echoed = json.loads((out / "config.echo.json").read_text())
     assert echoed["dims"] == [20] * 10
     assert echoed["ranks"][0] == 4 and echoed["ranks"][1] == 1
-    rows = read_metrics_csv(str(out / "metrics.csv"))
+    rows = read_rows(out / "metrics.csv")
     strategies = {(r.strategy, r.p) for r in rows}
     assert ("malocate", math.inf) in strategies
     assert ("oracle", None) in strategies

@@ -22,7 +22,7 @@ from amcsim.error_bounds import paired_arrays
 
 def as_estimate(values):
     """A ``MatrixEstimate`` of matrix 1 holding ``values``."""
-    return MatrixEstimate(1, values, 0, 0.0)
+    return MatrixEstimate(1, values)
 
 
 def make_dataset(entries, index=1):

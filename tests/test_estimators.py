@@ -19,6 +19,7 @@ from amcsim import (
     split_dataset,
     svt,
 )
+from amcsim import estimators
 from amcsim.estimators import MatrixEstimate, gram_svt, plain_soft_impute
 
 
@@ -166,7 +167,7 @@ class TestGramSvt:
         out, shrunk = gram_svt(m, theta)
         tol = 1e-10 * max(1.0, sigma[0])
         assert np.max(np.abs(out - svt(m, theta))) <= tol
-        # The shrunk values sum to the nuclear norm the debug objective uses.
+        # The shrunk values sum to the nuclear norm the fit's objective uses.
         assert abs(shrunk.sum() - np.maximum(sigma - theta, 0.0).sum()) <= m.shape[0] * tol
 
     def test_threshold_above_top_gives_zero(self):
@@ -238,7 +239,7 @@ class TestAcceleratedFit:
         start = None
         if warm:
             noise = np.random.default_rng(seed).normal(scale=0.5, size=(d, d))
-            start = MatrixEstimate(1, gt.entries + noise, 0, 0.0)
+            start = MatrixEstimate(1, gt.entries + noise)
         # The fit after k steps is the last iterate accepted by then.
         cfg = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-300, clip_output=False)
         values = [
@@ -249,9 +250,9 @@ class TestAcceleratedFit:
         ]
         for before, after in zip(values, values[1:]):
             assert after <= before + 1e-9 * max(1.0, before)
-        # debug=True asserts the same on every accepted step of a long fit.
-        debug = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-11, debug=True)
-        soft_impute_fit(data, spec, debug, warm=start)
+        # The fit asserts the same on every accepted step of a long fit.
+        long_fit = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-11)
+        soft_impute_fit(data, spec, long_fit, warm=start)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -302,7 +303,6 @@ class TestSoftImpute:
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=5, tol=1e-12)
         est = soft_impute_fit(data, spec, cfg)
         assert est.values[2, 3] == pytest.approx(0.5)
-        assert est.trained_on == 2
 
     def test_empty_train_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
@@ -329,7 +329,7 @@ class TestSoftImpute:
         a = soft_impute_fit(data, spec, cfg)
         b = soft_impute_fit(data, spec, cfg)
         assert np.array_equal(a.values, b.values)
-        assert a.lambda_used == b.lambda_used
+        assert a.iterations == b.iterations
 
     def test_warm_start_changes_single_iteration(self):
         spec = MatrixSpec(index=1, dim=15, rank_bound=2)
@@ -348,8 +348,24 @@ class TestSoftImpute:
         spec = MatrixSpec(index=1, dim=30, rank_bound=3)
         gt = generate_ground_truth(spec, 17)
         data = new_samples(gt, 0.1, 700, named_stream(7))
-        cfg = EstimatorConfig(max_iters=200, tol=1e-9, debug=True)
+        cfg = EstimatorConfig(max_iters=200, tol=1e-9)
         soft_impute_fit(data, spec, cfg)  # raises AssertionError on violation
+
+    def test_rising_plain_step_raises(self, monkeypatch):
+        # Every step after the first lands far from the data, so the
+        # momentum step is dropped and the plain step after it still rises.
+        spec, _, data = sampled(20, 200, 2)
+        exact = estimators.gram_svt
+        calls = []
+
+        def rising(m, theta):
+            z, shrunk = exact(m, theta)
+            calls.append(theta)
+            return (z if len(calls) == 1 else z + 1e3), shrunk
+
+        monkeypatch.setattr(estimators, "gram_svt", rising)
+        with pytest.raises(AssertionError, match="objective increased at iteration 3"):
+            soft_impute_fit(data, spec, EstimatorConfig())
 
     def test_more_data_helps(self):
         # median error over 20 seeds shrinks when the sample quadruples
@@ -377,8 +393,8 @@ class TestGetEstimator:
         gt = generate_ground_truth(spec, 19)
         data = new_samples(gt, 0.0, 100, named_stream(8))
         train, _ = split_dataset(data, SplitMode.HALVES)
-        est = soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
-        assert est.trained_on == 50
+        soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
+        assert len(train) == 50
 
     def test_by_multiplicity_all_distinct(self):
         d = 6
@@ -386,8 +402,8 @@ class TestGetEstimator:
         data = Dataset(index=1, rows=rows, cols=cols, values=np.ones(12))
         spec = MatrixSpec(index=1, dim=d, rank_bound=1)
         train, _ = split_dataset(data, SplitMode.BY_MULTIPLICITY)
-        est = soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
-        assert est.trained_on == 12
+        soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
+        assert len(train) == 12
 
     def test_halves_recovery_noiseless(self):
         rng = np.random.default_rng(23)
@@ -398,10 +414,11 @@ class TestGetEstimator:
         data = base.extend(base)
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=float(np.abs(truth).max()))
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=50, tol=1e-12)
-        est = soft_impute_fit(split_dataset(data, SplitMode.HALVES)[0], spec, cfg)
+        train = split_dataset(data, SplitMode.HALVES)[0]
+        est = soft_impute_fit(train, spec, cfg)
         rel = np.linalg.norm(est.values - truth) / np.linalg.norm(truth)
         assert rel <= 1e-3
-        assert est.trained_on == d * d
+        assert len(train) == d * d
 
     def test_empty_train_portion_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)

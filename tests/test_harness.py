@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import astuple, replace
+import re
+from collections import namedtuple
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from amcsim import (
     load_config,
     preset_experiment_1,
     preset_experiment_2,
-    read_metrics_csv,
     run_experiment,
     scaled,
     write_metrics_csv,
@@ -53,10 +54,26 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+MetricsRow = namedtuple("MetricsRow", METRICS_HEADER)
+
+
+def read_rows(path):
+    """A metrics.csv read with ``csv.reader``: p is None or a float, the next
+    five columns ints and the last four floats."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == METRICS_HEADER.split(",")
+    return [
+        MetricsRow(exp, kind, None if p == "" else float(p),
+                   *map(int, rest[:5]), *map(float, rest[5:]))
+        for exp, kind, p, *rest in rows
+    ]
+
+
 def run_rows(cfg, out):
     """Run ``cfg`` with output to ``out`` and read its metrics.csv back."""
     run_experiment(cfg, str(out))
-    return read_metrics_csv(str(out / "metrics.csv"))
+    return read_rows(out / "metrics.csv")
 
 
 def trace_rows(result):
@@ -133,7 +150,6 @@ def valid_configs(draw):
         tol=positive,
         warm_start=st.booleans(),
         clip_output=st.booleans(),
-        debug=st.booleans(),
     )
     return ExperimentConfig(
         experiment=draw(st.text(max_size=12)),
@@ -177,7 +193,7 @@ class TestPresets:
         assert cfg.budget == 15 * 200 * 200 // 2
 
     def test_scaled_keeps_other_fields(self):
-        cfg = tiny_config(estimator=EstimatorConfig(debug=True))
+        cfg = tiny_config(estimator=EstimatorConfig(warm_start=False))
         small = scaled(cfg, 2.0)
         assert small.dims == (8, 10) and small.budget == 82
         assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
@@ -261,7 +277,7 @@ class TestMetricsCsv:
     def test_round_trip(self, tmp_path, one_rep_result):
         path = tmp_path / "metrics.csv"
         write_metrics_csv(one_rep_result, str(path))
-        back = [astuple(r) for r in read_metrics_csv(str(path))]
+        back = read_rows(path)
         assert back == trace_rows(one_rep_result)
         assert len(back) == len(one_rep_result)
 
@@ -272,7 +288,7 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(result, str(path))
         assert path.read_bytes() == csv_writer_bytes(result)
-        assert {r.experiment for r in read_metrics_csv(str(path))} == {name}
+        assert {r.experiment for r in read_rows(path)} == {name}
 
     def test_header_schema(self, tmp_path, one_rep_result):
         path = tmp_path / "metrics.csv"
@@ -287,7 +303,7 @@ class TestMetricsCsv:
         assert any(math.isinf(row[B_k]) for row in trace_rows(one_rep_result))
         path = tmp_path / "metrics.csv"
         write_metrics_csv(one_rep_result, str(path))
-        back = read_metrics_csv(str(path))
+        back = read_rows(path)
         assert any(math.isinf(r.B_k) for r in back)
 
 
@@ -374,16 +390,23 @@ class TestConfigSerialization:
     def test_json_round_trip_property(self, cfg):
         assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
-    def test_debug_round_trips(self):
-        cfg = tiny_config(estimator=EstimatorConfig(debug=True))
-        assert config_to_dict(cfg)["estimator"]["debug"] is True
-        assert config_from_dict(config_to_dict(cfg)) == cfg
+    def test_debug_key_rejected(self):
+        # The objective check is always on, so there is no knob to set.
         raw = json.loads('{"dims": [8], "ranks": [2], "estimator": {"debug": true}}')
-        assert config_from_dict(raw).estimator == EstimatorConfig(debug=True)
+        with pytest.raises(ValueError, match="unknown keys"):
+            config_from_dict(raw)
 
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"dims": [8, 10], "ranks": [1, 2]})
         assert cfg == ExperimentConfig(experiment="custom", dims=(8, 10), ranks=(1, 2), budget=82)
+
+    def test_default_budget(self):
+        # 8^2 / 2 + 10^2 / 2 = 82 however the budget is left unset.
+        raw = {"dims": [8, 10], "ranks": [1, 2]}
+        assert ExperimentConfig("x", dims=(8, 10), ranks=(1, 2)).budget == 82
+        assert config_from_dict(raw).budget == 82
+        assert config_from_dict({**raw, "budget": None}).budget == 82
+        assert scaled(tiny_config(budget=5), 2.0).budget == 82
 
     def test_doubling_takes_no_parameters(self):
         raw = config_to_dict(tiny_config(schedule=Doubling()))
@@ -405,12 +428,29 @@ class TestConfigSerialization:
             ("strategies", [{"kind": "malocate", "p": math.nan}]),
             ("strategies", [{"p": 1.0}]),
             ("estimator", 3),
+            ("experiment", None),
+            ("experiment", ["x"]),
+            ("experiment", True),
         ],
     )
     def test_malformed_values_rejected(self, key, value):
         raw = config_to_dict(tiny_config())
         raw[key] = value
         with pytest.raises(ValueError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("experiment", None, "config.experiment must be a string"),
+            ("sigma", "abc", "config.sigma: expected float, got 'abc'"),
+            ("split", "bogus", "config.split: expected SplitMode, got 'bogus'"),
+        ],
+    )
+    def test_malformed_value_names_its_field(self, key, value, message):
+        raw = config_to_dict(tiny_config())
+        raw[key] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
             config_from_dict(raw)
 
     @pytest.mark.parametrize(
@@ -528,6 +568,8 @@ class TestConfigSerialization:
             ExperimentConfig(experiment="x", dims=(4, 4), ranks=(2,), budget=100)
         with pytest.raises(ValueError):
             tiny_config(reps=0)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            tiny_config(seed=-1)
         with pytest.raises(ValueError):
             tiny_config(confidence_scale=0.0)
         with pytest.raises(ValueError):

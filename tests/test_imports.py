@@ -8,8 +8,9 @@ module's ``__all__`` must be bound at its top level, and ``__init__``
 may re-export only names that their module lists in ``__all__``. Every
 top-level function or class is read somewhere in the package (as a
 name or an attribute) or listed in its module's ``__all__``, so no dead
-definition is left behind. All checks read the source with ``ast`` and
-import nothing.
+definition is left behind, and every field of a dataclass is read
+somewhere in the package as an attribute, bar the few kept on purpose.
+All checks read the source with ``ast`` and import nothing.
 """
 import ast
 from pathlib import Path
@@ -129,3 +130,53 @@ def test_detector_flags_a_dead_definition():
 def test_no_dead_definitions():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert dead_definitions(sources) == []
+
+
+# Dataclass fields that only tests read, each kept for its reason.
+UNREAD_FIELDS_KEPT = [
+    # The band's point estimate; the tests check that it is unbiased.
+    "error_bounds.ErrorEstimate.r_n",
+    # An event's batch size, the key of the planned per-refit records.
+    "strategies.TraceEvent.batch",
+]
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Fields of ``@dataclass`` classes whose name no module reads as an attribute."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+    def is_dataclass(cls: ast.ClassDef) -> bool:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+        return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+
+    return sorted(
+        f"{name}.{cls.name}.{stmt.target.id}"
+        for name, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id not in read
+    )
+
+
+def test_detector_flags_an_unread_field():
+    # A field only ever assigned is unread; an unannotated class attribute is no field.
+    source = "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n    z = 1\n" \
+             "def f(c): c.y = c.x\n"
+    assert unread_fields({"a": source}) == ["a.C.y"]
+    # A copy of the package with one field added that nothing reads.
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    last = "    converged: bool = False\n"
+    sources["estimators"] = sources["estimators"].replace(last, last + "    trained_on: int = 0\n")
+    assert "estimators.MatrixEstimate.trained_on" in unread_fields(sources)
+
+
+def test_every_dataclass_field_is_read():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_fields(sources) == UNREAD_FIELDS_KEPT

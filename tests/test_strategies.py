@@ -325,7 +325,7 @@ class TestDiscretizedRuns:
             split=SplitMode.HALVES, confidence_scale=0.0625,
         )
         _, trace = malocate_run(truths, cfg, P1, rng=11)
-        # under HALVES with reuse, trained_on grows with accumulated data
+        # under HALVES with reuse, the training set grows with accumulated data
         assert trace.events[-1].t_values[0] == min(n, 400)
 
 
