@@ -72,7 +72,6 @@ class Dataset:
     double-sampled entries both walk the dataset in arrival order.
     """
 
-    index: int
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
@@ -93,14 +92,11 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Sub-dataset at positions ``idx``, preserving the given order."""
-        return Dataset(self.index, self.rows[idx], self.cols[idx], self.values[idx])
+        return Dataset(self.rows[idx], self.cols[idx], self.values[idx])
 
     def extend(self, other: "Dataset") -> "Dataset":
         """New dataset with ``other`` appended after ``self``."""
-        if other.index != self.index:
-            raise ValueError("cannot merge datasets of different matrices")
         return Dataset(
-            self.index,
             np.concatenate([self.rows, other.rows]),
             np.concatenate([self.cols, other.cols]),
             np.concatenate([self.values, other.values]),
@@ -111,9 +107,10 @@ def named_stream(*name: int) -> np.random.Generator:
     """Counter-based RNG stream keyed by a tuple of integers.
 
     Distinct names give statistically independent streams; the same name
-    always reproduces the same stream. Runs derive one stream per
-    (master seed, repetition, strategy, matrix) so that repetitions are
-    independent and every run is replayable.
+    always reproduces the same stream. A run keys each truth by
+    (master seed, repetition, 0, matrix) and each matrix's observations
+    by (master seed, repetition, 1, strategy, matrix), so that
+    repetitions are independent and every run is replayable.
     """
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(name)))
 
@@ -167,4 +164,4 @@ def new_samples(
     values = gt.entries[rows, cols].astype(np.float64, copy=True)
     if sigma > 0:
         values += rng.normal(0.0, sigma, size=T)
-    return Dataset(index=gt.spec.index, rows=rows, cols=cols, values=values)
+    return Dataset(rows=rows, cols=cols, values=values)

@@ -4,8 +4,8 @@ An ``ExperimentConfig`` holds the settings of a run and a
 ``StrategySpec`` names one strategy. Three strategies share one
 sequential loop, ``_run``, which reads its settings from the config: an
 adaptive rule that samples the matrix with the largest band-per-sample
-criterion, a round-robin baseline, and an oracle that reads the true
-errors. They differ only in the score they give ``_pick``, the one
+criterion, a round-robin baseline, and an oracle: the adaptive rule on
+true errors. They differ only in the score they give ``_pick``, the one
 rule that names the next matrix. Each step requests a batch of fresh
 observations for that matrix, refits, re-estimates the error band, and
 accepts the new estimate only when its band improves.
@@ -116,6 +116,8 @@ class StrategySpec:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.kind == "malocate" and self.p is None:
             raise ValueError("malocate requires a loss parameter p")
+        if self.kind == "uniform" and self.p is not None:
+            raise ValueError("uniform takes no p")
         if self.p is not None and not self.p >= 1:  # rejects NaN too
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.weights is not None:
@@ -190,9 +192,11 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
                 )
-            if (s.kind, s.p) in seen:
+            # The oracle reads p = None as inf; uniform has no other p.
+            key = (s.kind, math.inf if s.p is None else s.p)
+            if key in seen:
                 raise ValueError(f"duplicate strategy {s.label}: kind and p must differ")
-            seen.add((s.kind, s.p))
+            seen.add(key)
 
     @property
     def num_matrices(self) -> int:
@@ -209,9 +213,9 @@ class ExperimentConfig:
 class ArmState:
     """Per-matrix bookkeeping: samples spent, band, current estimate.
 
-    ``sq_err`` caches the squared Frobenius error of ``current`` against
-    the truth; it is None until ``_true_errors`` computes it and is
-    cleared whenever ``current`` changes.
+    ``sq_err`` is the squared Frobenius error of ``current`` against the
+    truth, the zero matrix standing in for a missing estimate. It is set
+    here and again by ``_refit`` whenever ``current`` changes.
     """
 
     truth: GroundTruth
@@ -219,7 +223,10 @@ class ArmState:
     band: float = math.inf
     current: MatrixEstimate | None = None
     data: Dataset | None = None
-    sq_err: float | None = None
+    sq_err: float = field(init=False)
+
+    def __post_init__(self):
+        self.sq_err = float(np.sum(self.truth.entries * self.truth.entries))
 
     @property
     def dim(self) -> int:
@@ -275,39 +282,40 @@ def initial_batch(dim: int) -> int:
     return 4 * math.ceil((dim * math.log(dim) + 1) / 2)
 
 
-def _pick(states: list[ArmState], first, score) -> int:
-    """Among arms below their cap, the lowest position with ``first(state)``,
-    else the largest ``score(pos, state)``, ties going to the lowest position.
+def _pick(states: list[ArmState], score) -> int:
+    """Among arms below their cap, the one with the largest ``score(pos, state)``.
+
+    Ties go to the lowest position, so an infinite score means "choose first".
     """
     available = [pos for pos, s in enumerate(states) if not s.at_cap]
     if not available:
         raise ValueError("every arm is at its observation cap")
-    for pos in available:
-        if first(states[pos]):
-            return pos
     return max(available, key=lambda pos: score(pos, states[pos]))
 
 
-def select_index(states: list[ArmState], p: float, weights=None) -> int:
+def select_index(states: list[ArmState], p: float, weights=None, bands=None) -> int:
     """Position of the arm the adaptive criterion for the p-loss picks next.
 
-    Arms at their observation cap are excluded. Among the rest, an arm
-    with an infinite band (never successfully evaluated) is chosen
-    first, lowest position winning. Otherwise the score is
+    Arms at their observation cap are excluded. The score of an arm is
     w^(1/p) * d^2 * B * T^(-1/p) for finite p and w * d^2 * B for
     p = inf, with the arm's weight w from ``weights`` (one per arm,
-    default all one); ties break to the lowest position. Raises
-    ``ValueError`` when every arm is at its cap.
+    default all one) and its band B from ``bands`` (one per arm, default
+    each arm's ``band``). An infinite B (never successfully evaluated)
+    scores inf, so such an arm is chosen first; ties break to the lowest
+    position. Raises ``ValueError`` when every arm is at its cap.
     """
+    bands = [s.band for s in states] if bands is None else bands
 
     def score(pos: int, s: ArmState) -> float:
+        if math.isinf(bands[pos]):  # before T^(-1/p): T may be 0
+            return math.inf
         w = 1.0 if weights is None else weights[pos]
-        d2b = s.dim * s.dim * s.band
+        d2b = s.dim * s.dim * bands[pos]
         if math.isinf(p):
             return w * d2b
         return w ** (1.0 / p) * d2b * s.samples_spent ** (-1.0 / p)
 
-    return _pick(states, lambda s: math.isinf(s.band), score)
+    return _pick(states, score)
 
 
 def loss_from_errors(errors, p: float, weights=None) -> float:
@@ -319,19 +327,6 @@ def loss_from_errors(errors, p: float, weights=None) -> float:
     return float(np.sum(w * e**p) ** (1.0 / p))
 
 
-def _true_errors(states: list[ArmState]) -> list[float]:
-    """Raw squared Frobenius errors of the current estimates.
-
-    Only an arm whose estimate changed since the last call is recomputed.
-    """
-    for s in states:
-        if s.sq_err is None:
-            m = s.truth.entries
-            diff = m if s.current is None else s.current.values - m
-            s.sq_err = float(np.sum(diff * diff))
-    return [s.sq_err for s in states]
-
-
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
     """Fit on the train part of the arm's data, band the rest, accept if not worse."""
     train, eval_part = split_dataset(state.data, cfg.split)
@@ -341,9 +336,10 @@ def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
     est = soft_impute_fit(train, matrix, cfg.estimator, warm=state.current)
     bundle = estimate_error_bound(est, eval_part, matrix.dim, matrix.bound, cfg.confidence_scale)
     if bundle.b <= state.band:
+        diff = est.values - state.truth.entries
         state.current = est
         state.band = bundle.b
-        state.sq_err = None
+        state.sq_err = float(np.sum(diff * diff))
 
 
 def _run(
@@ -392,7 +388,7 @@ def _run(
         else:
             state.data = fresh
         _refit(state, cfg)
-        errors = _true_errors(states)
+        errors = [s.sq_err for s in states]
         trace.events.append(
             TraceEvent(
                 t=spent,
@@ -434,7 +430,7 @@ def uniform_run(
 
     def chooser(states: list[ArmState]) -> int:
         nonlocal cursor
-        pos = _pick(states, lambda s: False, lambda i, s: -((i - cursor) % len(states)))
+        pos = _pick(states, lambda i, s: -((i - cursor) % len(states)))
         cursor = pos + 1
         return pos
 
@@ -444,17 +440,16 @@ def uniform_run(
 def oracle_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
 ) -> tuple[list[MatrixEstimate], RunTrace]:
-    """Baseline that allocates to the largest weighted per-entry true error.
+    """Baseline: the adaptive rule with each arm's true per-entry error e / d^2 as B.
 
-    Ground truth is read for selection only, never for fitting. The score
-    of an arm is w_k * e_k / d_k^2, with e_k its squared Frobenius error.
+    Ground truth is read for selection only, never for fitting; e is the
+    arm's ``sq_err``, and an arm with no estimate yet scores inf. ``p`` is
+    ``strategy.p``, inf when that is None.
     """
-    weights = strategy.weights
-
-    def score(pos: int, s: ArmState) -> float:
-        return (1.0 if weights is None else weights[pos]) * _true_errors([s])[0] / s.cap
+    p = math.inf if strategy.p is None else strategy.p
 
     def chooser(states: list[ArmState]) -> int:
-        return _pick(states, lambda s: s.current is None, score)
+        errors = [math.inf if s.current is None else s.sq_err / s.cap for s in states]
+        return select_index(states, p, strategy.weights, errors)
 
     return _run(problem, cfg, strategy, rng, chooser=chooser)

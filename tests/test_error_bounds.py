@@ -25,17 +25,16 @@ def as_estimate(values):
     return MatrixEstimate(1, values)
 
 
-def make_dataset(entries, index=1):
+def make_dataset(entries):
     rows = [e[0] for e in entries]
     cols = [e[1] for e in entries]
     values = [e[2] for e in entries]
-    return Dataset(index=index, rows=rows, cols=cols, values=values)
+    return Dataset(rows=rows, cols=cols, values=values)
 
 
 class TestSplitDataset:
     def test_halves_floor(self):
         data = Dataset(
-            index=1,
             rows=np.zeros(101, dtype=int),
             cols=np.arange(101) % 7,
             values=np.arange(101.0),
@@ -76,7 +75,7 @@ class TestSplitDataset:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            split_dataset(Dataset(index=1), SplitMode.HALVES)
+            split_dataset(Dataset(), SplitMode.HALVES)
 
 
 class TestPairDoubleSamples:
@@ -86,7 +85,7 @@ class TestPairDoubleSamples:
         assert list(zip(rows, cols, y, y2)) == [(0, 0, 0.2, 0.4)]
 
     def test_empty(self):
-        assert all(len(a) == 0 for a in paired_arrays(Dataset(index=1)))
+        assert all(len(a) == 0 for a in paired_arrays(Dataset()))
 
     def test_consecutive_disjoint_pairs(self):
         evl = make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)])
@@ -192,7 +191,7 @@ class TestBValue:
 
 class TestErrorEstimateBundle:
     def test_zero_pairs_gives_infinite_band(self):
-        bundle = estimate_error_bound(as_estimate(np.zeros((3, 3))), Dataset(index=1), 3, 1.0)
+        bundle = estimate_error_bound(as_estimate(np.zeros((3, 3))), Dataset(), 3, 1.0)
         assert bundle.n_pairs == 0
         assert bundle.r_n is None
         assert math.isinf(bundle.b)

@@ -23,14 +23,13 @@ from amcsim import estimators
 from amcsim.estimators import MatrixEstimate, gram_svt, plain_soft_impute
 
 
-def full_coverage_dataset(entries, index=1, repeat_first=0):
+def full_coverage_dataset(entries, repeat_first=0):
     d = entries.shape[0]
     rows, cols = np.divmod(np.arange(d * d), d)
     values = entries[rows, cols]
-    ds = Dataset(index=index, rows=rows, cols=cols, values=values)
+    ds = Dataset(rows=rows, cols=cols, values=values)
     if repeat_first:
         extra = Dataset(
-            index=index,
             rows=np.zeros(repeat_first, dtype=int),
             cols=np.zeros(repeat_first, dtype=int),
             values=np.full(repeat_first, entries[0, 0]),
@@ -298,7 +297,7 @@ class TestSoftImpute:
     def test_duplicates_averaged(self):
         # only entry (2,3) observed, twice; theta = 0 keeps the filled value
         d = 5
-        data = Dataset(index=1, rows=[2, 2], cols=[3, 3], values=[0.4, 0.6])
+        data = Dataset(rows=[2, 2], cols=[3, 3], values=[0.4, 0.6])
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=4.0)
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=5, tol=1e-12)
         est = soft_impute_fit(data, spec, cfg)
@@ -307,11 +306,11 @@ class TestSoftImpute:
     def test_empty_train_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
         with pytest.raises(ValueError):
-            soft_impute_fit(Dataset(index=1), spec, EstimatorConfig())
+            soft_impute_fit(Dataset(), spec, EstimatorConfig())
 
     def test_clip_output(self):
         d = 4
-        data = Dataset(index=1, rows=[0], cols=[0], values=[10.0])
+        data = Dataset(rows=[0], cols=[0], values=[10.0])
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=1.0)
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=3, tol=1e-12, clip_output=True)
         est = soft_impute_fit(data, spec, cfg)
@@ -399,7 +398,7 @@ class TestGetEstimator:
     def test_by_multiplicity_all_distinct(self):
         d = 6
         rows, cols = np.divmod(np.arange(12), d)
-        data = Dataset(index=1, rows=rows, cols=cols, values=np.ones(12))
+        data = Dataset(rows=rows, cols=cols, values=np.ones(12))
         spec = MatrixSpec(index=1, dim=d, rank_bound=1)
         train, _ = split_dataset(data, SplitMode.BY_MULTIPLICITY)
         soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
@@ -422,7 +421,7 @@ class TestGetEstimator:
 
     def test_empty_train_portion_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
-        data = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
+        data = Dataset(rows=[0], cols=[0], values=[1.0])
         train, _ = split_dataset(data, SplitMode.HALVES)
         with pytest.raises(ValueError):
             soft_impute_fit(train, spec, EstimatorConfig())

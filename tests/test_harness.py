@@ -129,7 +129,8 @@ def one_rep_result():
 def valid_configs(draw):
     """Any ExperimentConfig the constructors accept (finite floats, p up to inf).
 
-    Strategies differ in (kind, p), as the config requires.
+    Strategies differ in (kind, p), the oracle's missing p reading as inf, as
+    the config requires. Uniform takes no p.
     """
     K = draw(st.integers(1, 4))
     dims = draw(st.lists(st.integers(2, 60), min_size=K, max_size=K))
@@ -137,9 +138,9 @@ def valid_configs(draw):
     positive = st.floats(1e-6, 1e6)
     p = st.floats(1.0, 50.0) | st.just(math.inf)
     weights = st.none() | st.tuples(*[positive] * K)
-    strategy = st.builds(StrategySpec, st.just("malocate"), p=p, weights=weights) | st.builds(
-        StrategySpec, st.sampled_from(["uniform", "oracle"]), p=st.none() | p, weights=weights
-    )
+    strategy = st.builds(
+        StrategySpec, st.sampled_from(["malocate", "oracle"]), p=p, weights=weights
+    ) | st.builds(StrategySpec, st.sampled_from(["uniform", "oracle"]), weights=weights)
     schedule = st.just(Doubling()) | st.builds(
         Discretized, st.integers(1, 20), st.integers(1, 500), st.booleans()
     )
@@ -159,7 +160,11 @@ def valid_configs(draw):
         bound_a=draw(positive),
         budget=draw(st.integers(1, 10**9)),
         strategies=tuple(
-            draw(st.lists(strategy, min_size=1, max_size=5, unique_by=lambda s: (s.kind, s.p)))
+            draw(
+                st.lists(
+                    strategy, min_size=1, max_size=5, unique_by=lambda s: (s.kind, s.p or math.inf)
+                )
+            )
         ),
         schedule=draw(schedule),
         split=draw(st.sampled_from(SplitMode)),
@@ -551,6 +556,9 @@ class TestConfigSerialization:
             config_from_dict(raw)
         with pytest.raises(ValueError, match="duplicate strategy oracle"):
             tiny_config(strategies=(StrategySpec("oracle"), StrategySpec("oracle", weights=(1, 3))))
+        # The oracle reads a missing p as inf, so these two are one strategy.
+        with pytest.raises(ValueError, match="duplicate strategy oracle_pinf"):
+            tiny_config(strategies=(StrategySpec("oracle"), StrategySpec("oracle", p=math.inf)))
         raw["strategies"][1]["p"] = 2
         assert len(config_from_dict(raw).strategies) == 2
 
@@ -576,3 +584,5 @@ class TestConfigSerialization:
             StrategySpec("malocate")  # p required
         with pytest.raises(ValueError):
             StrategySpec("bogus")
+        with pytest.raises(ValueError, match="uniform takes no p"):
+            config_from_dict({"dims": [8], "ranks": [2], "strategies": [{"kind": "uniform", "p": 2}]})

@@ -125,16 +125,9 @@ def test_new_samples_rejects_bad_T():
         new_samples(gt, 0.0, 0, named_stream(0))
 
 
-def test_dataset_mixed_indices_rejected():
-    a = Dataset(index=1, rows=[0], cols=[0], values=[1.0])
-    b = Dataset(index=2, rows=[0], cols=[0], values=[1.0])
-    with pytest.raises(ValueError):
-        a.extend(b)
-
-
 def test_dataset_extend_preserves_order():
-    a = Dataset(index=1, rows=[0, 1], cols=[0, 1], values=[1.0, 2.0])
-    b = Dataset(index=1, rows=[2], cols=[2], values=[3.0])
+    a = Dataset(rows=[0, 1], cols=[0, 1], values=[1.0, 2.0])
+    b = Dataset(rows=[2], cols=[2], values=[3.0])
     merged = a.extend(b)
     assert list(merged.values) == [1.0, 2.0, 3.0]
     assert len(a) == 2  # extend does not mutate

@@ -23,13 +23,13 @@ from amcsim import (
     select_index,
     uniform_run,
 )
-from amcsim.strategies import _true_errors
 
 FAST_CFG = EstimatorConfig(max_iters=60, tol=1e-4)
 P1 = StrategySpec("malocate", p=1.0)
 PINF = StrategySpec("malocate", p=math.inf)
 UNIFORM = StrategySpec("uniform")
 ORACLE = StrategySpec("oracle")
+ORACLE_P1 = StrategySpec("oracle", p=1.0)
 
 
 def make_problem(dims, ranks, seed=0, bound=4.0):
@@ -153,13 +153,15 @@ class TestComputeLoss:
         state = arm(6, math.inf, 0)
         assert state.current is None
         expected = float(np.sum(state.truth.entries ** 2))
-        assert _true_errors([state]) == [expected]
+        assert state.sq_err == expected
 
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
             StrategySpec("malocate", p=0.5)
         with pytest.raises(ValueError):
             StrategySpec("malocate", p=1.0, weights=(1.0, -1.0))
+        with pytest.raises(ValueError, match="uniform takes no p"):
+            StrategySpec("uniform", p=2.0)
 
 
 class TestDoublingRuns:
@@ -377,6 +379,21 @@ class TestOracleRun:
         assert plain.events[-1].t_values == (576, 192)
         assert tilted.events[-1].t_values == (192, 576)
 
+    def test_oracle_honours_p(self):
+        # The instance above: the p = 1 law trades the hard arm's larger
+        # error against its larger sample count, so it moves budget to the
+        # easy arm where p = inf, the default, does not.
+        truths = make_problem([24, 24], [8, 1], seed=14)
+        cfg = run_config(
+            truths, sigma=0.05, budget=768, schedule=Discretized(8, 12), estimator=FAST_CFG,
+            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
+        )
+        _, default = oracle_run(truths, cfg, ORACLE, rng=12)
+        _, p_inf = oracle_run(truths, cfg, StrategySpec("oracle", p=math.inf), rng=12)
+        _, p_one = oracle_run(truths, cfg, ORACLE_P1, rng=12)
+        assert p_inf.events == default.events
+        assert [e.chosen for e in p_one.events] != [e.chosen for e in p_inf.events]
+
     def test_oracle_dominates_for_max_loss(self):
         # median over seeds: oracle final max loss <= malocate's
         wins = 0
@@ -444,12 +461,15 @@ def loop_instances(draw):
     return truths, cfg, draw(st.integers(0, 2**16))
 
 
-def expected_pick(strategy, j, last, t_prev, b_prev, dims, caps, schedule):
+def expected_pick(strategy, j, last, t_prev, b_prev, e_prev, dims, caps, schedule):
     """The selection law written out: the arm event ``j`` must choose.
 
     ``last`` is the previous pick (-1 before the first) and ``t_prev``,
-    ``b_prev`` the sample counts and bands after it. None for the oracle,
-    whose scores need the estimates.
+    ``b_prev``, ``e_prev`` the sample counts, bands and true per-entry
+    errors after it. The oracle is the adaptive law with ``e_prev`` as
+    bands and an infinite one for arms without an estimate. None for the
+    oracle when an open arm with samples has an infinite band, because
+    the trace does not show whether that arm has an estimate.
     """
     K = len(dims)
     if isinstance(schedule, Discretized) and j < K:
@@ -457,12 +477,15 @@ def expected_pick(strategy, j, last, t_prev, b_prev, dims, caps, schedule):
     open_arms = [i for i in range(K) if t_prev[i] < caps[i]]
     if strategy.kind == "uniform":
         return next(i % K for i in range(last + 1, last + 1 + K) if i % K in open_arms)
-    if strategy.kind != "malocate":
-        return None
+    p = strategy.p
+    if strategy.kind == "oracle":
+        if any(t_prev[i] > 0 and math.isinf(b_prev[i]) for i in open_arms):
+            return None
+        b_prev = [math.inf if t == 0 else e for t, e in zip(t_prev, e_prev)]
+        p = math.inf if p is None else p
     unbanded = [i for i in open_arms if math.isinf(b_prev[i])]
     if unbanded:
         return unbanded[0]
-    p = strategy.p
     scores = {
         i: dims[i] * dims[i] * b_prev[i] * (1.0 if math.isinf(p) else t_prev[i] ** (-1.0 / p))
         for i in open_arms
@@ -485,16 +508,19 @@ class TestRunLoopProperty:
             min(first_batch(schedule, gt.spec.dim), cap) for gt, cap in zip(truths, caps)
         )
         runs = [(P1, malocate_run), (PINF, malocate_run), (UNIFORM, uniform_run),
-                (ORACLE, oracle_run)]
+                (ORACLE, oracle_run), (ORACLE_P1, oracle_run)]
         for strategy, runner in runs:
             _, trace = runner(truths, cfg, strategy, rng)
             t_prev, b_prev, spent = [0] * len(truths), [math.inf] * len(truths), 0
+            e_prev = [math.inf] * len(truths)
             dims, last = [gt.spec.dim for gt in truths], -1
             for j, event in enumerate(trace.events):
                 assert sum(event.t_values) == event.t <= budget
                 assert all(t <= cap for t, cap in zip(event.t_values, caps))
                 pos = event.chosen - 1
-                law_pick = expected_pick(strategy, j, last, t_prev, b_prev, dims, caps, schedule)
+                law_pick = expected_pick(
+                    strategy, j, last, t_prev, b_prev, e_prev, dims, caps, schedule
+                )
                 assert law_pick is None or law_pick == pos
                 last = pos
                 grown = [i for i, (a, b) in enumerate(zip(t_prev, event.t_values)) if a != b]
@@ -510,6 +536,7 @@ class TestRunLoopProperty:
                 assert event.batch == min(law, budget - spent, caps[pos] - before)
                 assert all(b <= a for a, b in zip(b_prev, event.b_values))
                 t_prev, b_prev, spent = list(event.t_values), event.b_values, event.t
+                e_prev = event.true_errors
             if trace.ended_early:
                 assert t_prev == caps
             else:

@@ -2,8 +2,8 @@
 
 The tracer wraps the package's layer boundaries by name from outside
 the package and reads the run's result and traces. A traced in-process
-run must patch the same 14 names, count every metrics.csv row and see
-the refits.
+run must patch the same 14 names, count every metrics.csv row, see
+the refits, time every strategy's selection and see accepted bands.
 """
 import importlib.util
 import json
@@ -60,7 +60,11 @@ def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
         seed=3,
         schedule=Discretized(init_multiplier=2, num_batches=4),
         estimator=EstimatorConfig(max_iters=20, tol=1e-4),
-        strategies=(StrategySpec("malocate", p=math.inf), StrategySpec("uniform")),
+        strategies=(
+            StrategySpec("malocate", p=math.inf),
+            StrategySpec("uniform"),
+            StrategySpec("oracle"),
+        ),
     )
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config_to_dict(cfg)))
@@ -76,3 +80,7 @@ def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
     assert data_lines > 0
     assert metrics["harness.rows"] == data_lines
     assert metrics["strategies.refits"] > 0
+    # Every chooser reaches _run as chooser=, and band spans map to arms
+    # through MatrixEstimate.index.
+    assert metrics["strategies.select_s"] > 0
+    assert metrics["strategies.accept_share"] > 0
