@@ -192,7 +192,7 @@ class ExperimentConfig:
                 raise ValueError(
                     f"{s.label}: {len(s.weights)} weights for {len(self.dims)} matrices"
                 )
-            # The oracle reads p = None as inf; uniform has no other p.
+            # The oracle reads a missing p as inf, and uniform never has one.
             key = (s.kind, math.inf if s.p is None else s.p)
             if key in seen:
                 raise ValueError(f"duplicate strategy {s.label}: kind and p must differ")
