@@ -8,6 +8,7 @@ installation.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import os
 import tempfile
@@ -68,7 +69,9 @@ def _tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
+@functools.cache
 def _doubling_trace():
+    """One Doubling run, shared by the checks that read it."""
     cfg = _tiny_config(
         schedule=Doubling(),
         budget=4000,

@@ -73,9 +73,10 @@ def split_dataset(data: Dataset, mode: SplitMode) -> tuple[Dataset, Dataset]:
         half = n // 2
         order = np.arange(n)
         return data.take(order[:half]), data.take(order[half:])
-    _, inverse, counts = np.unique(data.entry_keys(), return_inverse=True, return_counts=True)
-    once = counts[inverse] == 1
-    return data.take(np.flatnonzero(once)), data.take(np.flatnonzero(~once))
+    order, counts = data.by_entry()
+    repeated = np.empty(n, dtype=bool)
+    repeated[order] = np.repeat(counts > 1, counts)
+    return data.take(np.flatnonzero(~repeated)), data.take(np.flatnonzero(repeated))
 
 
 def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -86,17 +87,10 @@ def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     seen m times yields floor(m/2) pairs; a leftover odd observation is
     discarded.
     """
-    n = len(eval_data)
-    key = eval_data.entry_keys()
-    # Stable sort groups equal keys while preserving arrival order inside
-    # each group, so consecutive positions within a group are consecutive
-    # observations of that entry.
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    group_start = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
-    group_size = np.diff(np.r_[group_start, n])
-    offsets = np.arange(n) - np.repeat(group_start, group_size)
-    first = (offsets % 2 == 0) & (offsets + 1 < np.repeat(group_size, group_size))
+    order, counts = eval_data.by_entry()
+    # Consecutive grouped positions of an entry are consecutive looks at it.
+    offsets = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = (offsets % 2 == 0) & (offsets + 1 < np.repeat(counts, counts))
     idx1 = order[first]
     idx2 = order[np.flatnonzero(first) + 1]
     return (

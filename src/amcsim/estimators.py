@@ -139,14 +139,11 @@ def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _averaged_targets(train: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate observations of an entry into their mean, in row-major order."""
-    uniq, inverse = np.unique(train.entry_keys(), return_inverse=True)
-    # seen[k]: one observation of entry k (return_index would sort stably, 2x slower).
-    seen = np.empty(len(uniq), dtype=np.int64)
-    seen[inverse] = np.arange(len(train))
-    sums = np.zeros(len(uniq))
-    np.add.at(sums, inverse, train.values)
-    counts = np.bincount(inverse, minlength=len(uniq))
-    return train.rows[seen], train.cols[seen], sums / counts
+    order, counts = train.by_entry()
+    first = order[np.cumsum(counts) - counts]
+    # bincount adds up each entry's values in arrival order.
+    sums = np.bincount(np.repeat(np.arange(len(counts)), counts), weights=train.values[order])
+    return train.rows[first], train.cols[first], sums / counts
 
 
 def soft_impute_fit(

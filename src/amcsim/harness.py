@@ -182,6 +182,11 @@ def write_metrics_csv(result: ExperimentResult, path: str) -> None:
     The columns an event shares are formatted once, so each matrix costs
     a single ``%`` format; text columns are quoted as ``csv.writer``
     quotes them. The file is written one event at a time.
+
+    The ``seed`` column is ``SeedSequence((master seed, rep)).generate_state(1)[0]``,
+    a per-rep label that seeds nothing. A rep is rerun from the master
+    ``--seed`` and its rep number, because its random streams are keyed
+    by (seed, rep, role, ...).
     """
     cfg = result.cfg
     ks = [spec.index for spec in cfg.specs()]

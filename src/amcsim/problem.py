@@ -86,9 +86,25 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.values)
 
-    def entry_keys(self) -> np.ndarray:
-        """One integer per observation, equal for equal (row, col), row-major ordered."""
-        return self.rows * (self.cols.max(initial=0) + 1) + self.cols
+    def by_entry(self) -> tuple[np.ndarray, np.ndarray]:
+        """Observation positions grouped by entry, and each entry's count.
+
+        The positions are listed entry by entry with entries in row-major
+        order and, within an entry, in arrival order; ``counts`` holds
+        one count per entry in the same order.
+        """
+        n = len(self)
+        key = self.rows * (self.cols.max(initial=0) + 1) + self.cols
+        # Ties broken by position make every key unique, so the default
+        # sort keeps arrival order (a stable sort is several times slower).
+        # key * n stays in int64 while (d^2) * n < 2^63.
+        order = np.argsort(key * n + np.arange(n))
+        key = key[order]
+        # bounds: the first grouped position of each entry, then n.
+        edge = np.ones(n + 1, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+        bounds = np.flatnonzero(edge)
+        return order, bounds[1:] - bounds[:-1]
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Sub-dataset at positions ``idx``, preserving the given order."""

@@ -8,9 +8,9 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -79,31 +79,59 @@ CONFIG = {
 }
 
 
-def run_cli(config: Path, out: Path, **blas) -> tuple[float, float]:
-    """Run the CLI in a child process; return its (wall s, user+sys CPU s)."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(
+def run_cli(config: Path, out: Path, **blas) -> None:
+    """Run the CLI in a child process."""
+    subprocess.run(
         [sys.executable, "-m", "amcsim.cli", "run", "--config", str(config), "--out", str(out)],
-        env=child_env(**blas), stdout=subprocess.DEVNULL,
+        env=child_env(**blas), stdout=subprocess.DEVNULL, check=True,
     )
-    _, status, usage = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    assert os.waitstatus_to_exitcode(status) == 0
-    return wall, usage.ru_utime + usage.ru_stime
 
 
-@pytest.mark.skipif(
+# Imports the package first, as the CLI does, then asks the OpenBLAS
+# that numpy loaded how many threads it runs.
+THREADS_CODE = """
+import ctypes
+import amcsim
+import numpy
+lib = next(line.split()[-1] for line in open("/proc/self/maps") if "scipy_openblas" in line)
+print(ctypes.CDLL(lib).scipy_openblas_get_num_threads64_())
+"""
+
+
+def openblas_threads(**blas) -> int:
+    out = subprocess.run(
+        [sys.executable, "-c", THREADS_CODE], env=child_env(**blas),
+        capture_output=True, text=True, check=True,
+    )
+    return int(out.stdout)
+
+
+TWO_CORES = pytest.mark.skipif(
     len(os.sched_getaffinity(0)) < 2, reason="needs two cores to run BLAS on two threads"
 )
+
+
+@TWO_CORES
 def test_outputs_do_not_depend_on_blas_threads(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(CONFIG))
-    wall_2, cpu_2 = run_cli(config, tmp_path / "two", OPENBLAS_NUM_THREADS="2")
+    run_cli(config, tmp_path / "two", OPENBLAS_NUM_THREADS="2")
     run_cli(config, tmp_path / "one", OPENBLAS_NUM_THREADS="1")
-    wall_d, cpu_d = run_cli(config, tmp_path / "default")
-    assert cpu_2 > wall_2, "the two-thread child did not run BLAS on two cores"
-    assert cpu_d <= wall_d, "the default child ran on more than one thread"
+    run_cli(config, tmp_path / "default")
     for name in ("metrics.csv", "summary.csv"):
         one = (tmp_path / "one" / name).read_bytes()
         assert (tmp_path / "two" / name).read_bytes() == one
         assert (tmp_path / "default" / name).read_bytes() == one
+
+
+@TWO_CORES
+@pytest.mark.skipif(
+    np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"] != "scipy-openblas"
+    or not os.path.exists("/proc/self/maps"),
+    reason="reads the thread count from numpy's scipy-openblas, found via /proc/self/maps",
+)
+def test_blas_threads_of_the_children():
+    """The children above run OpenBLAS on the threads their environment asks for."""
+    assert openblas_threads(OPENBLAS_NUM_THREADS="2") == 2
+    assert openblas_threads(OPENBLAS_NUM_THREADS="1") == 1
+    assert openblas_threads() == 1

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from amcsim import (
     Dataset,
@@ -18,6 +20,7 @@ from amcsim import (
     split_dataset,
 )
 from amcsim.error_bounds import paired_arrays
+from amcsim.estimators import _averaged_targets
 
 
 def as_estimate(values):
@@ -76,6 +79,76 @@ class TestSplitDataset:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split_dataset(Dataset(), SplitMode.HALVES)
+
+
+@st.composite
+def crowded_datasets(draw):
+    """A d x d dataset, d in 2..8, of up to 200 observations on few entries."""
+    d = draw(st.integers(2, 8))
+    n = draw(st.integers(1, 200))
+    cells = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    values = st.lists(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
+    )
+    return Dataset(rows=draw(cells), cols=draw(cells), values=draw(values))
+
+
+def positions_by_entry(data):
+    """{(row, col): positions in arrival order}, entries in row-major order."""
+    groups = {}
+    for pos, entry in enumerate(zip(data.rows.tolist(), data.cols.tolist())):
+        groups.setdefault(entry, []).append(pos)
+    return dict(sorted(groups.items()))
+
+
+def assert_same(got, rows, cols, values):
+    assert got.rows.tolist() == rows
+    assert got.cols.tolist() == cols
+    assert got.values.tolist() == values
+
+
+class TestGroupingByEntry:
+    """Every grouping by entry matches a plain dict walk of the observations."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_datasets())
+    def test_split_dataset(self, data):
+        rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
+        half = len(data) // 2
+        train, evl = split_dataset(data, SplitMode.HALVES)
+        assert_same(train, rows[:half], cols[:half], values[:half])
+        assert_same(evl, rows[half:], cols[half:], values[half:])
+        groups = positions_by_entry(data)
+        once = sorted(p for ps in groups.values() if len(ps) == 1 for p in ps)
+        more = sorted(p for ps in groups.values() if len(ps) > 1 for p in ps)
+        train, evl = split_dataset(data, SplitMode.BY_MULTIPLICITY)
+        assert_same(train, *([xs[p] for p in once] for xs in (rows, cols, values)))
+        assert_same(evl, *([xs[p] for p in more] for xs in (rows, cols, values)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_datasets())
+    def test_paired_arrays(self, data):
+        values = data.values.tolist()
+        expected = [
+            (i, j, values[ps[k]], values[ps[k + 1]])
+            for (i, j), ps in positions_by_entry(data).items()
+            for k in range(0, len(ps) - 1, 2)
+        ]
+        got = paired_arrays(data)
+        assert list(zip(*(a.tolist() for a in got))) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_datasets())
+    def test_averaged_targets(self, data):
+        values = data.values.tolist()
+        expected = []
+        for (i, j), ps in positions_by_entry(data).items():
+            total = 0.0
+            for p in ps:
+                total += values[p]
+            expected.append((i, j, total / len(ps)))
+        got = _averaged_targets(data)
+        assert list(zip(*(a.tolist() for a in got))) == expected
 
 
 class TestPairDoubleSamples:
