@@ -30,7 +30,7 @@ __all__ = [
 class SplitMode(enum.Enum):
     """How to divide a dataset into a training and an evaluation part.
 
-    HALVES: first half (insertion order) trains, second half evaluates.
+    HALVES: the first half of the arrivals trains, the rest evaluates.
     BY_MULTIPLICITY: entries seen exactly once train; every observation
     of an entry seen twice or more evaluates. The second variant wastes
     no repeat-free observations and is what the experiments use.
@@ -63,20 +63,19 @@ def split_dataset(data: Dataset, mode: SplitMode) -> tuple[Dataset, Dataset]:
 
     HALVES sends the first floor(n/2) observations to train and the rest
     to eval. BY_MULTIPLICITY sends entries observed exactly once to
-    train and all observations of repeated entries to eval. Both parts
-    keep insertion order, and together they are the original multiset.
+    train and all observations of repeated entries to eval. Together the
+    parts are the original multiset, and each comes out grouped: entries
+    in row-major order, arrival order within an entry.
     """
     n = len(data)
     if n == 0:
         raise ValueError("cannot split an empty dataset")
-    if mode is SplitMode.HALVES:
-        half = n // 2
-        order = np.arange(n)
-        return data.take(order[:half]), data.take(order[half:])
     order, counts = data.by_entry()
-    repeated = np.empty(n, dtype=bool)
-    repeated[order] = np.repeat(counts > 1, counts)
-    return data.take(np.flatnonzero(~repeated)), data.take(np.flatnonzero(repeated))
+    if mode is SplitMode.HALVES:
+        train = order < n // 2
+    else:
+        train = np.repeat(counts == 1, counts)
+    return data.take(order[train]), data.take(order[~train])
 
 
 def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -121,8 +120,7 @@ def estimate_error_bound(est: MatrixEstimate, eval_data: Dataset, dim: int, boun
 
     r_n averages (y - m)(y2 - m) over the pairs, m being the estimate's
     value at the pair's entry: an unbiased estimate of ||est - M||_F^2 / d^2
-    that may be negative. With no pairs the band is +inf and the caller
-    keeps its previous state.
+    that may be negative. With no pairs the band is +inf.
     """
     rows, cols, y, y2 = paired_arrays(eval_data)
     n_pairs = len(y)

@@ -80,8 +80,7 @@ class MatrixEstimate:
 
     ``iterations`` counts the SVT steps of the fit, rejected ones
     included, and ``converged`` says whether it stopped on ``tol``
-    rather than at ``max_iters``. The defaults describe an estimate no
-    iteration produced, such as the zero estimate of an arm never fit.
+    rather than at ``max_iters``.
     """
 
     index: int

@@ -68,8 +68,9 @@ class GroundTruth:
 class Dataset:
     """Ordered observations of a single matrix, stored as flat arrays.
 
-    Insertion order is significant: sample splitting and the pairing of
-    double-sampled entries both walk the dataset in arrival order.
+    Arrival order is significant: the HALVES split cuts it, and pairing
+    takes an entry's looks in it. The parts ``split_dataset`` returns are
+    grouped by entry and keep arrival order within an entry.
     """
 
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))

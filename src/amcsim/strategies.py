@@ -8,7 +8,9 @@ criterion, a round-robin baseline, and an oracle: the adaptive rule on
 true errors. They differ only in the score they give ``_pick``, the one
 rule that names the next matrix. Each step requests a batch of fresh
 observations for that matrix, refits, re-estimates the error band, and
-accepts the new estimate only when its band improves.
+accepts the new estimate unless its band is worse than the current one.
+An equal band, inf included, is accepted, so an arm's first refit is
+kept even when its eval part has no pairs.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -213,6 +215,8 @@ class ExperimentConfig:
 class ArmState:
     """Per-matrix bookkeeping: samples spent, band, current estimate.
 
+    ``data`` is what the next refit splits: every observation of the
+    arm when the schedule reuses samples, else its latest batch.
     ``sq_err`` is the squared Frobenius error of ``current`` against the
     truth, the zero matrix standing in for a missing estimate. It is set
     here and again by ``_refit`` whenever ``current`` changes.
@@ -222,7 +226,7 @@ class ArmState:
     samples_spent: int = 0
     band: float = math.inf
     current: MatrixEstimate | None = None
-    data: Dataset | None = None
+    data: Dataset = field(default_factory=Dataset)
     sq_err: float = field(init=False)
 
     def __post_init__(self):
@@ -273,7 +277,7 @@ class RunTrace:
 def initial_batch(dim: int) -> int:
     """First-visit batch size 4 * ceil((d ln d + 1) / 2).
 
-    Twice the smallest even integer strictly greater than d ln d, so the
+    Twice the smallest even integer at least d ln d + 1, so the
     eval half contains a double-sampled entry with high probability for
     d >= 55. Always divisible by 4.
     """
@@ -344,8 +348,11 @@ def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
 
 def _run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng, chooser
-) -> tuple[list[MatrixEstimate], RunTrace]:
-    """Spend ``cfg.budget`` on ``problem``; ``chooser`` names each next arm."""
+) -> tuple[list[ArmState], RunTrace]:
+    """Spend ``cfg.budget`` on ``problem``; ``chooser`` names each next arm.
+
+    Returns the arm states as the run left them, and the trace.
+    """
     if [gt.spec.dim for gt in problem] != list(cfg.dims):
         raise ValueError("problem dims must match cfg.dims")
     K = len(problem)
@@ -383,10 +390,7 @@ def _run(
         fresh = new_samples(state.truth, cfg.sigma, batch, streams[pos])
         state.samples_spent += batch
         spent += batch
-        if schedule.reuse_samples and state.data is not None:
-            state.data = state.data.extend(fresh)
-        else:
-            state.data = fresh
+        state.data = state.data.extend(fresh) if schedule.reuse_samples else fresh
         _refit(state, cfg)
         errors = [s.sq_err for s in states]
         trace.events.append(
@@ -401,19 +405,12 @@ def _run(
                 loss_pinf=loss_from_errors(errors, math.inf, weights),
             )
         )
-
-    estimates = [
-        s.current
-        if s.current is not None
-        else MatrixEstimate(s.truth.spec.index, np.zeros((s.dim, s.dim)))
-        for s in states
-    ]
-    return estimates, trace
+    return states, trace
 
 
 def malocate_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[MatrixEstimate], RunTrace]:
+) -> tuple[list[ArmState], RunTrace]:
     """Adaptive run: each step samples argmax of the band criterion for ``strategy.p``."""
 
     def chooser(states: list[ArmState]) -> int:
@@ -424,7 +421,7 @@ def malocate_run(
 
 def uniform_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[MatrixEstimate], RunTrace]:
+) -> tuple[list[ArmState], RunTrace]:
     """Round-robin baseline under the same schedule and update guard."""
     cursor = 0
 
@@ -439,7 +436,7 @@ def uniform_run(
 
 def oracle_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[MatrixEstimate], RunTrace]:
+) -> tuple[list[ArmState], RunTrace]:
     """Baseline: the adaptive rule with each arm's true per-entry error e / d^2 as B.
 
     Ground truth is read for selection only, never for fitting; e is the

@@ -44,14 +44,16 @@ class TestSplitDataset:
         )
         train, evl = split_dataset(data, SplitMode.HALVES)
         assert len(train) == 50 and len(evl) == 51
-        assert list(train.values) == list(range(50))
+        # Grouped by entry (the column here), arrival order within an entry.
+        assert list(train.values) == sorted(range(50), key=lambda v: (v % 7, v))
+        assert list(evl.values) == sorted(range(50, 101), key=lambda v: (v % 7, v))
 
     def test_by_multiplicity_rule(self):
         # observations at entries a, b, a, c -> train {b, c}, eval {a, a}
         data = make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)])
         train, evl = split_dataset(data, SplitMode.BY_MULTIPLICITY)
-        assert sorted(train.values) == [2.0, 4.0]
-        assert sorted(evl.values) == [1.0, 3.0]
+        assert list(train.values) == [2.0, 4.0]
+        assert list(evl.values) == [1.0, 3.0]
 
     def test_by_multiplicity_all_distinct(self):
         data = make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)])
@@ -114,16 +116,20 @@ class TestGroupingByEntry:
     @given(crowded_datasets())
     def test_split_dataset(self, data):
         rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
-        half = len(data) // 2
-        train, evl = split_dataset(data, SplitMode.HALVES)
-        assert_same(train, rows[:half], cols[:half], values[:half])
-        assert_same(evl, rows[half:], cols[half:], values[half:])
         groups = positions_by_entry(data)
-        once = sorted(p for ps in groups.values() if len(ps) == 1 for p in ps)
-        more = sorted(p for ps in groups.values() if len(ps) > 1 for p in ps)
-        train, evl = split_dataset(data, SplitMode.BY_MULTIPLICITY)
-        assert_same(train, *([xs[p] for p in once] for xs in (rows, cols, values)))
-        assert_same(evl, *([xs[p] for p in more] for xs in (rows, cols, values)))
+        walk = [p for ps in groups.values() for p in ps]
+        half = len(data) // 2
+        trains = {
+            SplitMode.HALVES: lambda p: p < half,
+            SplitMode.BY_MULTIPLICITY: lambda p: len(groups[rows[p], cols[p]]) == 1,
+        }
+        for mode, in_train in trains.items():
+            parts = split_dataset(data, mode)
+            for part, trained in zip(parts, (True, False)):
+                kept = [p for p in walk if in_train(p) == trained]
+                assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
+                # A part is already grouped: by_entry leaves it in place.
+                assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import amcsim.strategies as strategies
 from amcsim import (
     ArmState,
     Discretized,
@@ -58,15 +59,16 @@ def arm(dim, band, spent, index=1, seed=0):
 
 
 class TestInitialBatch:
-    @pytest.mark.parametrize("dim,expected", [(200, 2124), (55, 444), (10, 52)])
+    @pytest.mark.parametrize("dim,expected", [(200, 2124), (55, 444), (10, 52), (4, 16)])
     def test_values(self, dim, expected):
         assert initial_batch(dim) == expected
 
     def test_divisible_by_four_and_large_enough(self):
-        for d in range(2, 300, 7):
-            b = initial_batch(d)
-            assert b % 4 == 0
-            assert b >= 2 * d * math.log(d)
+        for d in range(2, 301):
+            x = d * math.log(d) + 1
+            smallest_even = next(e for e in range(2, 4 * d * d, 2) if e >= x)
+            assert initial_batch(d) == 2 * smallest_even
+            assert initial_batch(d) % 4 == 0
 
     def test_rejects_tiny_dim(self):
         with pytest.raises(ValueError):
@@ -236,7 +238,7 @@ class TestDoublingRuns:
             truths, sigma=0.1, budget=3000, schedule=Doubling(), estimator=FAST_CFG,
             split=SplitMode.HALVES, confidence_scale=8.0,
         )
-        estimates, trace = malocate_run(truths, cfg, PINF, rng=6)
+        _, trace = malocate_run(truths, cfg, PINF, rng=6)
         prev_b = (math.inf, math.inf)
         prev_err = None
         for event in trace.events:
@@ -265,10 +267,10 @@ class TestDoublingRuns:
             estimator=EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9),
             split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
         )
-        estimates, trace = malocate_run(truths, cfg, PINF, rng=7)
+        states, trace = malocate_run(truths, cfg, PINF, rng=7)
         errors = [
-            float(np.sum((est.values - gt.entries) ** 2)) / 30**2
-            for est, gt in zip(estimates, truths)
+            float(np.sum((states[i].current.values - gt.entries) ** 2)) / 30**2
+            for i, gt in enumerate(truths)
         ]
         assert max(errors) <= 1e-2
 
@@ -350,6 +352,33 @@ class TestInitClampedToCap:
         assert trace.events[-1].t == n
         with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
             malocate_run(truths, replace(cfg, budget=n - 1), P1, rng=13)
+
+
+class TestRefitData:
+    @pytest.mark.parametrize(
+        "schedule",
+        [Discretized(8, 10), Discretized(8, 10, reuse_samples=False), Doubling()],
+        ids=["reused", "latest", "doubling"],
+    )
+    def test_reused_or_latest_batch(self, schedule, monkeypatch):
+        # Each step refits once, on every observation of the chosen arm
+        # when the schedule reuses samples, else on the step's batch.
+        split, lengths = strategies.split_dataset, []
+
+        def recording_split(data, mode):
+            lengths.append(len(data))
+            return split(data, mode)
+
+        monkeypatch.setattr(strategies, "split_dataset", recording_split)
+        truths = make_problem([10, 12], [1, 2], seed=16)
+        cfg = run_config(truths, sigma=0.1, budget=300, schedule=schedule, estimator=FAST_CFG)
+        _, trace = malocate_run(truths, cfg, P1, rng=14)
+        assert len(lengths) == len(trace.events) > 3
+        for n, event in zip(lengths, trace.events):
+            if schedule.reuse_samples:
+                assert n == event.t_values[event.chosen - 1]
+            else:
+                assert n == event.batch
 
 
 class TestOracleRun:

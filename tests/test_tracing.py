@@ -84,3 +84,7 @@ def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
     # through MatrixEstimate.index.
     assert metrics["strategies.select_s"] > 0
     assert metrics["strategies.accept_share"] > 0
+    # The split, fit and band hooks still see every refit.
+    assert metrics["error_bounds.split_s"] > 0
+    assert metrics["error_bounds.pairs_per_band"] > 0
+    assert metrics["estimators.fit_calls"] == metrics["strategies.refits"]
