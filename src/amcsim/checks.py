@@ -1,9 +1,15 @@
-"""Self-contained invariant suite behind ``amcsim check``.
+"""Invariants of the engine, each stated once, behind ``amcsim check`` and the tests.
 
-Each check runs a small deterministic simulation and validates one
-structural property of the engine. The suite prints one line per check
-and fails loudly on any violation, so it doubles as a smoke test of an
-installation.
+Each invariant is a predicate, ``*_violation``, that returns a failure
+string, or None when the invariant holds. ``amcsim check`` calls the
+predicates on fixed tiny configs, one PASS or FAIL line per entry of
+``CHECKS``, so it doubles as a smoke test of an installation; the test
+suite calls the same predicates on drawn inputs under ``hypothesis``.
+
+The predicates are written independently of the engine.
+``trace_violation`` restates the batch and selection laws from the
+config alone and calls none of the engine's schedule or chooser code, so
+a fault in the run loop cannot hide in its own check.
 """
 from __future__ import annotations
 
@@ -12,6 +18,7 @@ import functools
 import math
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -25,8 +32,8 @@ from .estimators import (
 )
 from .harness import (
     METRICS_HEADER,
+    ExperimentResult,
     _rep_seed,
-    _rep_truths,
     aggregate,
     run_experiment,
     write_metrics_csv,
@@ -37,13 +44,228 @@ from .strategies import (
     Discretized,
     Doubling,
     ExperimentConfig,
+    RunTrace,
     StrategySpec,
     initial_batch,
     loss_from_errors,
     select_index,
 )
 
-__all__ = ["run_all_checks", "CHECKS"]
+__all__ = [
+    "trace_violation", "scale_violation", "loss_order_violation", "svt_violation",
+    "fit_violation", "csv_violation", "paired_violation", "determinism_violation",
+    "read_metrics", "trace_rows", "run_all_checks", "CHECKS",
+]
+
+
+def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTrace) -> str | None:
+    """The run loop's laws on one trace of ``strategy`` under ``cfg``.
+
+    - Budget: t = sum of T_k <= budget, all spent unless the run ended
+      early with every arm at its cap d^2.
+    - Batches: an arm's first is ``init_multiplier * d`` (Discretized) or
+      ``initial_batch(d)`` (Doubling); a later one T_k (Doubling) or
+      ceil(free / num_batches), free being the budget after every first
+      batch clamped to its cap. Each is clamped to the budget left and to
+      d^2 - T_k.
+    - Selection: a Discretized run first visits the arms in order. Then,
+      among arms below their cap, uniform takes the next after the last
+      pick; malocate the largest score w^(1/p) d^2 B T^(-1/p) (w d^2 B at
+      p = inf), an infinite B first and ties to the lowest position; the
+      oracle the same with B the true per-entry error, inf without an
+      estimate. Whether an arm with samples and an infinite band has an
+      estimate the trace does not show, so while one is open the oracle's
+      pick is not checked.
+    - Bands never rise, and an event changes no T_k, B_k or true error of
+      an arm it did not choose.
+    """
+    K, budget, doubling = cfg.num_matrices, cfg.budget, isinstance(cfg.schedule, Doubling)
+    caps = [d * d for d in cfg.dims]
+    first = [min(initial_batch(d) if doubling else cfg.schedule.init_multiplier * d, d * d)
+             for d in cfg.dims]
+    later = None if doubling else math.ceil((budget - sum(first)) / cfg.schedule.num_batches)
+    weights = strategy.weights or (1.0,) * K
+    p = math.inf if strategy.p is None else strategy.p
+    # Arm i's samples, band and true error before an event. Before the
+    # first event E holds that event's errors: those of every arm it did
+    # not choose are still their errors at the start.
+    T, B, spent, last = [0] * K, [math.inf] * K, 0, -1
+    E = list(trace.events[0].true_errors) if trace.events else []
+    for j, event in enumerate(trace.events):
+        pos = event.chosen - 1
+        below_cap = [i for i in range(K) if T[i] < caps[i]]
+        if not below_cap:
+            return f"event {j} comes after every arm reached its cap"
+        if not doubling and j < K:
+            want = j
+        elif strategy.kind == "uniform":
+            want = min(below_cap, key=lambda i: (i - last - 1) % K)
+        elif strategy.kind == "oracle" and any(T[i] and math.isinf(B[i]) for i in below_cap):
+            want = pos  # not checked: see the docstring
+        else:
+            bands = B
+            if strategy.kind == "oracle":
+                bands = [e if b < math.inf else math.inf for b, e in zip(B, E)]
+
+            def score(i):
+                if math.isinf(bands[i]):
+                    return math.inf
+                d2b = cfg.dims[i] * cfg.dims[i] * bands[i]
+                if math.isinf(p):
+                    return weights[i] * d2b
+                return weights[i] ** (1.0 / p) * d2b * T[i] ** (-1.0 / p)
+
+            want = max(below_cap, key=score)
+        if pos != want:
+            return f"event {j} chose arm {pos}, the selection law picks arm {want}"
+        law = first[pos] if T[pos] == 0 else (T[pos] if doubling else later)
+        batch = min(law, budget - spent, caps[pos] - T[pos])
+        grown = T[:pos] + [T[pos] + batch] + T[pos + 1:]
+        if (event.batch, event.t, list(event.t_values)) != (batch, spent + batch, grown):
+            return (f"event {j} drew {event.batch} to reach t = {event.t}, T = {event.t_values};"
+                    f" the batch law gives {batch}, t = {spent + batch}, T = {tuple(grown)}")
+        if event.b_values[pos] > B[pos]:
+            return f"event {j} raised arm {pos}'s band from {B[pos]} to {event.b_values[pos]}"
+        for i in range(K):
+            if i != pos and (event.b_values[i], event.true_errors[i]) != (B[i], E[i]):
+                return f"event {j} changed arm {i}, which it did not choose"
+        T, B, E = grown, list(event.b_values), list(event.true_errors)
+        spent, last = event.t, pos
+    if trace.ended_early and T != caps:
+        return f"the run ended early at T = {tuple(T)}, below the caps {tuple(caps)}"
+    if not trace.ended_early and spent != budget:
+        return f"the run spent {spent} of its budget {budget} without ending early"
+    return None
+
+
+def scale_violation(states: list[ArmState], p: float, c: float) -> str | None:
+    """``select_index`` picks the same arm after every band is scaled by c > 0.
+
+    Holds vacuously when the two largest scores d^2 B T^(-1/p) lie
+    within 1e-12 relative, where rounding may flip the pick.
+    """
+    scores = sorted(
+        (s.dim * s.dim * s.band * (1.0 if math.isinf(p) else s.samples_spent ** (-1.0 / p))
+         for s in states if not s.at_cap),
+        reverse=True,
+    )
+    if len(scores) > 1 and scores[0] - scores[1] <= 1e-12 * scores[0]:
+        return None
+    scaled = [ArmState(s.truth, s.samples_spent, c * s.band) for s in states]
+    before, after = select_index(states, p), select_index(scaled, p)
+    if after != before:
+        return f"the pick changed from arm {before} to arm {after} under B -> {c:.3g} B at p={p}"
+    return None
+
+
+def loss_order_violation(errors) -> str | None:
+    """The p-loss of fixed errors does not rise from p = 1 through 2 and 4 to inf."""
+    values = [loss_from_errors(errors, p) for p in (1.0, 2.0, 4.0, math.inf)]
+    for a, b in zip(values, values[1:]):
+        if b > a + 1e-12:
+            return f"the loss rose in p, {values}, on errors {np.asarray(errors).tolist()}"
+    return None
+
+
+def svt_violation(m: np.ndarray, theta: float) -> str | None:
+    """The fit's Gram-eigh step matches the dense SVT within 1e-10 of max(1, sigma_1),
+    and its shrunk singular values sum to the nuclear norm within d times that."""
+    sigma = np.linalg.svd(m, compute_uv=False)
+    tol = 1e-10 * max(1.0, float(sigma[0]))
+    out, shrunk = gram_svt(m, theta)
+    err = float(np.max(np.abs(out - svt(m, theta))))
+    if err > tol:
+        return f"the Gram-eigh step differs from the dense SVT by {err:.3g}"
+    nuclear = float(np.maximum(sigma - theta, 0.0).sum())
+    if abs(float(shrunk.sum()) - nuclear) > m.shape[0] * tol:
+        return f"the shrunk singular values sum to {shrunk.sum():.12g}, not {nuclear:.12g}"
+    return None
+
+
+def fit_violation(est, data, spec: MatrixSpec, cfg: EstimatorConfig) -> str | None:
+    """``est``, the accelerated fit of ``data`` under ``cfg``, against the
+    plain SoftImpute loop run to the same ``cfg.tol``.
+
+    Both stop before ``cfg.max_iters``, agree within 1e-8 relative, and the
+    fit takes fewer steps whenever the plain loop took 100 or more (below
+    that a dropped momentum step can cost the fit a few more).
+    """
+    z, plain_steps = plain_soft_impute(data, spec, cfg)
+    if not est.converged or plain_steps >= cfg.max_iters:
+        return f"no convergence: the fit took {est.iterations} steps, the plain loop {plain_steps}"
+    err = float(np.linalg.norm(est.values - z)) / max(float(np.linalg.norm(z)), 1.0)
+    if err > 1e-8:
+        return f"the fit differs from the plain loop's fixed point by {err:.3g} relative"
+    if plain_steps >= 100 and est.iterations >= plain_steps:
+        return f"the fit took {est.iterations} steps, the plain loop {plain_steps}"
+    return None
+
+
+def read_metrics(path: str) -> tuple[list[str], list[tuple]]:
+    """A metrics.csv's header and rows: p None or a float, rep, seed, t, k
+    and T_k ints, B_k, true_err_k and the two losses floats."""
+    with open(path, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return header, [
+        (exp, kind, None if p == "" else float(p), *map(int, rest[:5]), *map(float, rest[5:]))
+        for exp, kind, p, *rest in rows
+    ]
+
+
+def trace_rows(result: ExperimentResult) -> list[tuple]:
+    """The metrics.csv rows of a result, as tuples of its trace values."""
+    cfg = result.cfg
+    return [
+        (cfg.experiment, strategy.kind, strategy.p, rep, _rep_seed(cfg.seed, rep), event.t,
+         pos + 1, event.t_values[pos], event.b_values[pos], event.true_errors[pos],
+         event.loss_p1, event.loss_pinf)
+        for rep, strategy, trace in result.jobs
+        for event in trace.events
+        for pos in range(cfg.num_matrices)
+    ]
+
+
+def csv_violation(result: ExperimentResult) -> str | None:
+    """metrics.csv reads back as every trace value, exactly, and the result aggregates."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "metrics.csv")
+        write_metrics_csv(result, path)
+        try:
+            header, rows = read_metrics(path)
+        except ValueError as exc:
+            return f"metrics.csv does not read back: {exc}"
+    if header != METRICS_HEADER.split(","):
+        return f"unexpected metrics header {header}"
+    want = trace_rows(result)
+    changed = sum(a != b for a, b in zip(rows, want)) + abs(len(rows) - len(want))
+    if changed:
+        return f"{changed} of {len(want)} metrics rows changed across write/read"
+    aggregate(result)  # must not raise
+    return None
+
+
+def paired_violation(result: ExperimentResult) -> str | None:
+    """Every strategy of a rep sees that rep's ground truths, and reps see different ones."""
+    by_rep = {}
+    for rep, strategy, trace in result.jobs:
+        if by_rep.setdefault(rep, trace.truth_hashes) != trace.truth_hashes:
+            return f"{strategy.label} saw other ground truths than its rep {rep}"
+    if len(set(by_rep.values())) != len(by_rep):
+        return "two reps drew the same ground truths"
+    return None
+
+
+def determinism_violation(cfg: ExperimentConfig) -> str | None:
+    """Two runs of ``cfg`` write the same metrics.csv and summary.csv bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, run) for run in ("a", "b")]
+        for out in outs:
+            run_experiment(cfg, out)
+        for name in ("metrics.csv", "summary.csv"):
+            first, second = (Path(out, name).read_bytes() for out in outs)
+            if first != second:
+                return f"identical seeds wrote different {name} bytes"
+    return None
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -70,198 +292,81 @@ def _tiny_config(**overrides) -> ExperimentConfig:
 
 
 @functools.cache
-def _doubling_trace():
+def _tiny_result() -> ExperimentResult:
+    """The tiny config's run, shared by the checks that read it."""
+    return run_experiment(_tiny_config())
+
+
+@functools.cache
+def _doubling_result() -> ExperimentResult:
     """One Doubling run, shared by the checks that read it."""
-    cfg = _tiny_config(
-        schedule=Doubling(),
-        budget=4000,
-        strategies=(StrategySpec("malocate", p=1.0),),
-        split=SplitMode.HALVES,
-        reps=1,
-    )
-    [(_, _, trace)] = run_experiment(cfg).jobs
-    return cfg, _rep_truths(cfg, 0), trace
+    return run_experiment(_tiny_config(
+        schedule=Doubling(), budget=4000, strategies=(StrategySpec("malocate", p=1.0),),
+        split=SplitMode.HALVES, reps=1,
+    ))
 
 
-def check_b_monotonicity() -> str | None:
-    cfg = _tiny_config()
-    for rep, strategy, trace in run_experiment(cfg).jobs:
-        K = cfg.num_matrices
-        prev = [math.inf] * K
-        for event in trace.events:
-            for pos in range(K):
-                if event.b_values[pos] > prev[pos]:
-                    return f"B increased for arm {pos} in rep {rep}, strategy {strategy.label}"
-            prev = list(event.b_values)
-    return None
-
-
-def check_doubling_law() -> str | None:
-    cfg, truths, trace = _doubling_trace()
-    pos_of = {gt.spec.index: i for i, gt in enumerate(truths)}
-    prev_t = [0] * len(truths)
-    for n_event, event in enumerate(trace.events):
-        pos = pos_of[event.chosen]
-        before, after = prev_t[pos], event.t_values[pos]
-        last = n_event == len(trace.events) - 1
-        cap = truths[pos].spec.dim ** 2
-        if before == 0:
-            if after != min(initial_batch(truths[pos].spec.dim), cap, cfg.budget):
-                return f"bad initialization batch for arm {pos}: {after}"
-        elif after != 2 * before and not last and after != cap:
-            return f"arm {pos} went {before} -> {after} mid-run"
-        prev_t = list(event.t_values)
-    return None
-
-
-def check_budget_accounting() -> str | None:
-    cfg, truths, trace = _doubling_trace()
-    for event in trace.events:
-        if sum(event.t_values) != event.t:
-            return f"sum T_k = {sum(event.t_values)} but t = {event.t}"
-    final = trace.events[-1]
-    if final.t > cfg.budget:
-        return f"overspent: {final.t} > {cfg.budget}"
-    if not trace.ended_early and final.t != cfg.budget:
-        return f"underspent without cap: {final.t} < {cfg.budget}"
+def _jobs_violation(*results: ExperimentResult) -> str | None:
+    """``trace_violation`` on every job of ``results``."""
+    for result in results:
+        for rep, strategy, trace in result.jobs:
+            failure = trace_violation(result.cfg, strategy, trace)
+            if failure is not None:
+                return f"{strategy.label}, rep {rep}: {failure}"
     return None
 
 
 def check_argmax_scale_invariance() -> str | None:
     rng = np.random.default_rng(0)
-    specs = _tiny_config().specs()
-    truths = [generate_ground_truth(s, (1, 2, 0, i)) for i, s in enumerate(specs)]
+    truths = [generate_ground_truth(s, (1, 2, 0, i)) for i, s in enumerate(_tiny_config().specs())]
     for trial in range(200):
-        states = []
-        for gt in truths:
-            states.append(
-                ArmState(
-                    truth=gt,
-                    samples_spent=int(rng.integers(1, gt.spec.dim**2)),
-                    band=float(rng.uniform(0.01, 5.0)),
-                )
-            )
+        states = [
+            ArmState(gt, int(rng.integers(1, gt.spec.dim**2)), float(rng.uniform(0.01, 5.0)))
+            for gt in truths
+        ]
         for p in (1.0, 2.0, math.inf):
-            base = select_index(states, p)
-            c = float(rng.uniform(0.1, 10.0))
-            scaled_states = [
-                ArmState(truth=s.truth, samples_spent=s.samples_spent, band=c * s.band)
-                for s in states
-            ]
-            if select_index(scaled_states, p) != base:
-                return f"choice changed under B -> {c:.3f} B at p={p}"
+            failure = scale_violation(states, p, float(rng.uniform(0.1, 10.0)))
+            if failure is not None:
+                return failure
     return None
 
 
 def check_loss_p_monotonicity() -> str | None:
     rng = np.random.default_rng(1)
     for trial in range(200):
-        errors = rng.uniform(0.0, 10.0, size=rng.integers(1, 8))
-        values = [loss_from_errors(errors, p) for p in (1.0, 2.0, 4.0, math.inf)]
-        for a, b in zip(values, values[1:]):
-            if b > a + 1e-12:
-                return f"loss increased in p on errors {errors}"
-    return None
-
-
-def check_csv_round_trip() -> str | None:
-    cfg = _tiny_config(reps=1)
-    result = run_experiment(cfg)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "metrics.csv")
-        write_metrics_csv(result, path)
-        with open(path, newline="") as fh:
-            header, *rows = csv.reader(fh)
-    if header != METRICS_HEADER.split(","):
-        return f"unexpected metrics header {header}"
-    # rep, seed, t, k and T_k are integers; B_k and the three errors floats.
-    back = [
-        (exp, kind, None if p == "" else float(p), *map(int, rest[:5]), *map(float, rest[5:]))
-        for exp, kind, p, *rest in rows
-    ]
-    want = [
-        (cfg.experiment, strategy.kind, strategy.p, rep, _rep_seed(cfg.seed, rep), event.t,
-         pos + 1, event.t_values[pos], event.b_values[pos], event.true_errors[pos],
-         event.loss_p1, event.loss_pinf)
-        for rep, strategy, trace in result.jobs
-        for event in trace.events
-        for pos in range(cfg.num_matrices)
-    ]
-    if back != want:
-        return "trace values changed across write/read"
-    aggregate(result)  # must not raise
-    return None
-
-
-def check_paired_generation() -> str | None:
-    hashes: dict[int, set] = {}
-    for rep, _, trace in run_experiment(_tiny_config()).jobs:
-        hashes.setdefault(rep, set()).add(trace.truth_hashes)
-    for rep, seen in hashes.items():
-        if len(seen) != 1:
-            return f"strategies saw different ground truths in rep {rep}"
-    return None
-
-
-def check_determinism() -> str | None:
-    with tempfile.TemporaryDirectory() as tmp:
-        out1, out2 = os.path.join(tmp, "a"), os.path.join(tmp, "b")
-        run_experiment(_tiny_config(reps=1), out1)
-        run_experiment(_tiny_config(reps=1), out2)
-        with open(os.path.join(out1, "metrics.csv"), "rb") as fh:
-            first = fh.read()
-        with open(os.path.join(out2, "metrics.csv"), "rb") as fh:
-            second = fh.read()
-    if first != second:
-        return "identical seeds produced different metrics.csv bytes"
+        failure = loss_order_violation(rng.uniform(0.0, 10.0, size=rng.integers(1, 8)))
+        if failure is not None:
+            return failure
     return None
 
 
 def check_svt_kernel() -> str | None:
-    # The fit's Gram-eigh step against the dense SVD on one fixed 40 x 40
-    # matrix, with the threshold midway through its spectrum; a faulty
-    # LAPACK build shows up here.
+    # One fixed 40 x 40 matrix, with the threshold midway through its
+    # spectrum; a faulty LAPACK build shows up here.
     m = np.random.default_rng(5).normal(size=(40, 40))
     sigma = np.linalg.svd(m, compute_uv=False)
-    theta = float(0.5 * (sigma[19] + sigma[20]))
-    out, shrunk = gram_svt(m, theta)
-    err = float(np.max(np.abs(out - svt(m, theta))))
-    if err > 1e-10 * max(1.0, float(sigma[0])):
-        return f"Gram-eigh step differs from the dense SVT by {err:.3g}"
-    nuclear = float(np.maximum(sigma - theta, 0.0).sum())
-    if abs(float(shrunk.sum()) - nuclear) > 1e-9 * nuclear:
-        return f"shrunk singular values sum to {shrunk.sum():.12g}, not {nuclear:.12g}"
-    return None
+    return svt_violation(m, float(0.5 * (sigma[19] + sigma[20])))
 
 
 def check_fit_fixed_point() -> str | None:
-    # The accelerated fit against the plain SoftImpute loop, both run to
-    # a tight tol on one fixed 30 x 30 rank-3 instance sampled at 20%.
+    # One fixed 30 x 30 rank-3 instance sampled at 20%, run to a tight tol.
     spec = MatrixSpec(index=1, dim=30, rank_bound=3)
-    truth = generate_ground_truth(spec, 3)
-    data = new_samples(truth, 0.1, 180, named_stream(3))
+    data = new_samples(generate_ground_truth(spec, 3), 0.1, 180, named_stream(3))
     cfg = EstimatorConfig(max_iters=5000, tol=1e-11, clip_output=False)
-    est = soft_impute_fit(data, spec, cfg)
-    z, plain_steps = plain_soft_impute(data, spec, cfg)
-    if not est.converged:
-        return f"fit did not converge in {est.iterations} steps"
-    err = float(np.linalg.norm(est.values - z)) / max(float(np.linalg.norm(z)), 1.0)
-    if err > 1e-8:
-        return f"fit differs from the plain loop's fixed point by {err:.3g} relative"
-    if est.iterations >= plain_steps:
-        return f"fit took {est.iterations} steps, the plain loop {plain_steps}"
-    return None
+    return fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg)
 
 
+# The four run-loop lines share one predicate: each names the runs it reads.
 CHECKS = [
-    ("b_monotonicity", check_b_monotonicity),
-    ("doubling_law", check_doubling_law),
-    ("budget_accounting", check_budget_accounting),
+    ("b_monotonicity", lambda: _jobs_violation(_tiny_result())),
+    ("doubling_law", lambda: _jobs_violation(_doubling_result())),
+    ("budget_accounting", lambda: _jobs_violation(_doubling_result())),
+    ("selection_law", lambda: _jobs_violation(_tiny_result(), _doubling_result())),
     ("argmax_scale_invariance", check_argmax_scale_invariance),
     ("loss_p_monotonicity", check_loss_p_monotonicity),
-    ("csv_round_trip", check_csv_round_trip),
-    ("paired_generation", check_paired_generation),
-    ("determinism", check_determinism),
+    ("csv_round_trip", lambda: csv_violation(_tiny_result())),
+    ("paired_generation", lambda: paired_violation(_tiny_result())),
+    ("determinism", lambda: determinism_violation(_tiny_config(reps=1))),
     ("svt_kernel", check_svt_kernel),
     ("fit_fixed_point", check_fit_fixed_point),
 ]
@@ -272,9 +377,6 @@ def run_all_checks(echo=print) -> bool:
     ok = True
     for name, check in CHECKS:
         failure = check()
-        if failure is None:
-            echo(f"PASS {name}")
-        else:
-            echo(f"FAIL {name}: {failure}")
-            ok = False
+        echo(f"PASS {name}" if failure is None else f"FAIL {name}: {failure}")
+        ok = ok and failure is None
     return ok

@@ -49,7 +49,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="divide dimensions by this factor for a desk-scale run",
     )
 
-    sub.add_parser("check", help="run the invariant and property suite")
+    sub.add_parser("check", help="check the run loop's laws, the SVT and fit kernels, "
+                                 "CSV round trip, paired truths and determinism on tiny runs")
     return parser
 
 

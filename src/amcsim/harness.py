@@ -194,11 +194,12 @@ def write_metrics_csv(result: ExperimentResult, path: str) -> None:
         fh.write(METRICS_HEADER + "\n")
         for rep, strategy, trace in result.jobs:
             buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerow(
+            # "\r\n" makes the writer quote a '\r' too, where a reader ends a row.
+            csv.writer(buf, lineterminator="\r\n").writerow(
                 [cfg.experiment, strategy.kind, _fmt_p(strategy.p), rep, _rep_seed(cfg.seed, rep)]
             )
             # A '%' in the experiment name must survive the row format.
-            head = buf.getvalue()[:-1].replace("%", "%%")
+            head = buf.getvalue()[:-2].replace("%", "%%")
             for event in trace.events:
                 line = (
                     f"{head},{event.t},%d,%d,%.17g,%.17g,"

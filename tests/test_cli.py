@@ -212,7 +212,8 @@ def test_check_subcommand(capsys):
     code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") == 10
+    assert out.count("PASS") == 11
+    assert "PASS selection_law" in out
     assert "PASS svt_kernel" in out
     assert "PASS fit_fixed_point" in out
     assert "FAIL" not in out

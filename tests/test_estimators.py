@@ -20,6 +20,7 @@ from amcsim import (
     svt,
 )
 from amcsim import estimators
+from amcsim.checks import fit_violation, svt_violation
 from amcsim.estimators import MatrixEstimate, gram_svt, plain_soft_impute
 
 
@@ -58,15 +59,12 @@ def objective(data, spec, cfg, z):
     return 0.5 * float(resid @ resid) + theta * float(np.linalg.svd(z, compute_uv=False).sum())
 
 
-def fit_and_plain(data, spec, cfg):
-    """Run the fit and the plain loop to ``cfg.tol``; both must converge
-    and agree within 1e-8 relative. Returns (fit, plain iterate, plain
-    steps)."""
+def fixed_point_rank(data, spec, cfg):
+    """Rank at 1e-6 of the fit run to ``cfg.tol``, after ``fit_violation``
+    finds it at the plain loop's fixed point."""
     est = soft_impute_fit(data, spec, cfg)
-    z, plain_steps = plain_soft_impute(data, spec, cfg)
-    assert est.converged and plain_steps < cfg.max_iters
-    assert np.linalg.norm(est.values - z) <= 1e-8 * max(np.linalg.norm(z), 1.0)
-    return est, z, plain_steps
+    assert fit_violation(est, data, spec, cfg) is None
+    return np.linalg.matrix_rank(est.values, tol=1e-6)
 
 
 class TestLambdaFor:
@@ -126,8 +124,8 @@ class TestSvt:
 
 @st.composite
 def svt_cases(draw):
-    """(matrix, singular values, theta) with the threshold away from every
-    singular value: zero, midway between two distinct ones, or above all."""
+    """(matrix, theta) with the threshold away from every singular value:
+    zero, midway between two distinct ones, or above all."""
     d = draw(st.integers(2, 60))
     kind = draw(st.sampled_from(["full", "deficient", "repeated"]))
     rank = d if kind == "full" else draw(st.integers(1, d - 1 if kind == "deficient" else d))
@@ -155,19 +153,14 @@ def svt_cases(draw):
     else:
         i = draw(st.integers(0, len(levels) - 2))
         theta = 0.5 * (levels[i] + levels[i + 1])
-    return m, sigma, theta
+    return m, theta
 
 
 class TestGramSvt:
     @settings(max_examples=150, deadline=None)
     @given(svt_cases())
     def test_matches_dense_svt(self, case):
-        m, sigma, theta = case
-        out, shrunk = gram_svt(m, theta)
-        tol = 1e-10 * max(1.0, sigma[0])
-        assert np.max(np.abs(out - svt(m, theta))) <= tol
-        # The shrunk values sum to the nuclear norm the fit's objective uses.
-        assert abs(shrunk.sum() - np.maximum(sigma - theta, 0.0).sum()) <= m.shape[0] * tol
+        assert svt_violation(*case) is None
 
     def test_threshold_above_top_gives_zero(self):
         m = np.diag([3.0, 1.0])
@@ -189,9 +182,7 @@ class TestGramSvt:
         # Run to a tight tol, the fit reaches the plain loop's fixed point
         # in fewer steps.
         cfg = dataclasses.replace(one, max_iters=20000, tol=1e-11)
-        est, z, plain_steps = fit_and_plain(data, spec, cfg)
-        assert 0 < np.linalg.matrix_rank(z, tol=1e-6) < d
-        assert est.iterations < plain_steps
+        assert 0 < fixed_point_rank(data, spec, cfg) < d
 
 
 class TestAcceleratedFit:
@@ -202,9 +193,7 @@ class TestAcceleratedFit:
         # 15% of d^2 draws, where the plain loop is slowest.
         spec, _, data = sampled(d, int(0.15 * d * d))
         cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
-        est, z, plain_steps = fit_and_plain(data, spec, cfg)
-        assert 0 < np.linalg.matrix_rank(z, tol=1e-6) < d
-        assert est.iterations < plain_steps
+        assert 0 < fixed_point_rank(data, spec, cfg) < d
 
     @pytest.mark.parametrize("d", [12, 50])
     def test_tight_tol_does_not_stall(self, d):
@@ -263,11 +252,7 @@ class TestAcceleratedFit:
     def test_fixed_point_matches_plain_loop(self, d, share, rank, seed):
         spec, _, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
         cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
-        est, _, plain_steps = fit_and_plain(data, spec, cfg)
-        # A fit that converges within a few dozen plain steps may take a
-        # few steps more, since a dropped step still costs one.
-        if plain_steps >= 100:
-            assert est.iterations < plain_steps
+        assert fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg) is None
 
 
 class TestSoftImpute:

@@ -5,7 +5,9 @@ Together the configs cover both schedules, both splits, sample reuse on
 and off, every strategy, loss weights, and arms that hit their d^2 cap
 (in the initialization and later). The Doubling configs run two reps
 whose t-grids differ. Text and integer columns must match exactly and
-float columns to a relative 1e-9, inf matching inf.
+float columns to a relative 1e-9, inf matching inf. Every job's trace
+must also obey the run loop's laws (``trace_violation``), weighted
+selection included.
 
 Regenerate the stored files (only when a change of numerics is
 intended) with:
@@ -31,6 +33,7 @@ from amcsim import (
     write_metrics_csv,
     write_summary_csv,
 )
+from amcsim.checks import trace_violation
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -123,8 +126,10 @@ def _assert_matches(got_path, want_path, columns):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_metrics_match_golden(name, tmp_path):
-    run_experiment(CONFIGS[name], str(tmp_path))
+    result = run_experiment(CONFIGS[name], str(tmp_path))
     _assert_matches(tmp_path / "metrics.csv", GOLDEN_DIR / f"{name}.csv", METRICS_COLUMNS)
+    for _, strategy, trace in result.jobs:
+        assert trace_violation(result.cfg, strategy, trace) is None, strategy.label
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))

@@ -10,7 +10,8 @@ top-level function or class is read somewhere in the package (as a
 name or an attribute) or listed in its module's ``__all__``, so no dead
 definition is left behind, and every field of a dataclass is read
 somewhere in the package as an attribute, bar the few kept on purpose.
-All checks read the source with ``ast`` and import nothing.
+``checks`` imports no test-only package and its ``trace_violation`` no
+engine code it restates. All checks read the source with ``ast`` and import nothing.
 """
 import ast
 from pathlib import Path
@@ -136,8 +137,6 @@ def test_no_dead_definitions():
 UNREAD_FIELDS_KEPT = [
     # The band's point estimate; the tests check that it is unbiased.
     "error_bounds.ErrorEstimate.r_n",
-    # An event's batch size, the key of the planned per-refit records.
-    "strategies.TraceEvent.batch",
 ]
 
 
@@ -180,3 +179,32 @@ def test_detector_flags_an_unread_field():
 def test_every_dataclass_field_is_read():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_fields(sources) == UNREAD_FIELDS_KEPT
+
+
+def independence_breaches(source: str) -> list[str]:
+    """Engine names that ``trace_violation`` reads, were it to call the code
+    it restates, and test-only packages the module imports."""
+    tree = ast.parse(source)
+    [law] = [n for n in tree.body if getattr(n, "name", None) == "trace_violation"]
+    read = {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(law)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+    packages = {a.name.split(".")[0] for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for a in n.names}
+    packages |= {n.module.split(".")[0] for n in ast.walk(tree)
+                 if isinstance(n, ast.ImportFrom) and n.level == 0}
+    return sorted(read & {"select_index", "_pick", "init_size", "next_batch"}) + sorted(
+        packages & {"hypothesis", "pytest", "scipy"}
+    )
+
+
+def test_detector_flags_engine_calls_and_test_imports():
+    source = "import pytest\nfrom scipy import linalg\nfrom .a import b\n" \
+             "def trace_violation(cfg): return cfg.schedule.next_batch(1, 2)\n"
+    assert independence_breaches(source) == ["next_batch", "pytest", "scipy"]
+
+
+def test_checks_independent_of_engine_and_tests():
+    assert independence_breaches((PACKAGE / "checks.py").read_text()) == []
