@@ -139,7 +139,7 @@ def run_experiment(
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    if out_dir:
+    if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     truths_by_rep = {rep: _rep_truths(cfg, rep) for rep in range(cfg.reps)}
 
@@ -157,7 +157,7 @@ def run_experiment(
         done = list(pool.map(execute, jobs))  # in submission order
     result = ExperimentResult(cfg, tuple(done))
 
-    if out_dir:
+    if out_dir is not None:
         write_metrics_csv(result, os.path.join(out_dir, "metrics.csv"))
         write_summary_csv(aggregate(result), os.path.join(out_dir, "summary.csv"))
         with open(os.path.join(out_dir, "config.echo.json"), "w") as fh:

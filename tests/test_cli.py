@@ -12,7 +12,7 @@ from amcsim import (
     config_to_dict,
     load_config,
 )
-from amcsim import cli, harness
+from amcsim import checks, cli, harness
 from amcsim.cli import main
 from test_harness import read_rows
 
@@ -65,37 +65,21 @@ def test_run_with_overrides(tmp_path):
     assert {r.rep for r in rows} == {0, 1}
 
 
-def test_run_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize("config,message", [
+    ({"bogus": 1}, "unknown keys in config: ['bogus']"),
+    ({"sigma": "abc"}, "config.sigma: expected float, got 'abc'"),
+    ({"budget": 64, "reps": 2.5}, "config.reps must be an integer, got 2.5"),
+    ({"experiment": None}, "config.experiment must be a string, got None"),
+    ({"budget": 64, "reps": True}, "config.reps must be a number, got True"),
+], ids=["unknown_key", "malformed_scalar", "fractional_int", "non_string_experiment",
+        "bool_number"])
+def test_run_rejects_bad_config(tmp_path, capsys, config, message):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "bogus": 1}))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "error" in capsys.readouterr().err
-
-
-def test_run_rejects_malformed_scalar(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "sigma": "abc"}))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "amcsim: error:" in capsys.readouterr().err
-
-
-def test_run_rejects_fractional_int(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "budget": 64, "reps": 2.5}))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "amcsim: error:" in capsys.readouterr().err
-
-
-def test_run_rejects_non_string_experiment(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "experiment": None}))
+    bad.write_text(json.dumps({"dims": [8], "ranks": [2], **config}))
     out = tmp_path / "o"
     code = main(["run", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert "amcsim: error: config.experiment must be a string" in capsys.readouterr().err
+    assert f"amcsim: error: {message}" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 
@@ -115,14 +99,6 @@ def test_run_rejects_negative_seed_before_any_output(tmp_path, capsys):
     assert code == 1
     assert "amcsim: error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
-
-
-def test_run_rejects_bool_number(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"dims": [8], "ranks": [2], "budget": 64, "reps": True}))
-    code = main(["run", "--config", str(bad), "--out", str(tmp_path / "o")])
-    assert code == 1
-    assert "amcsim: error:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1]])
@@ -183,9 +159,10 @@ def test_run_rejects_unusable_out_before_any_job(tmp_path, capsys, monkeypatch):
     cfg_path = small_config_file(tmp_path)
     taken = tmp_path / "taken"
     taken.write_text("")
-    code = main(["run", "--config", str(cfg_path), "--out", str(taken)])
-    assert code == 1
-    assert "amcsim: error:" in capsys.readouterr().err
+    for out in (str(taken), ""):
+        code = main(["run", "--config", str(cfg_path), "--out", out])
+        assert code == 1
+        assert "amcsim: error:" in capsys.readouterr().err
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -212,11 +189,24 @@ def test_check_subcommand(capsys):
     code = main(["check"])
     out = capsys.readouterr().out
     assert code == 0
-    assert out.count("PASS") == 11
-    assert "PASS selection_law" in out
+    assert out.count("PASS") == 8
+    assert "PASS run_loop_laws" in out
     assert "PASS svt_kernel" in out
     assert "PASS fit_fixed_point" in out
     assert "FAIL" not in out
+
+
+def test_check_survives_a_raising_check(capsys, monkeypatch):
+    def raising():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(checks, "CHECKS", [
+        ("first", lambda: None), ("raising", raising), ("last", lambda: None),
+    ])
+    assert main(["check"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "PASS first", "FAIL raising: raised RuntimeError: boom", "PASS last",
+    ]
 
 
 def test_unknown_command_rejected(capsys):

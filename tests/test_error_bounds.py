@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcsim import (
     Dataset,
     ErrorEstimate,
-    GroundTruth,
     MatrixEstimate,
     MatrixSpec,
     SplitMode,
@@ -36,48 +35,6 @@ def make_dataset(entries):
 
 
 class TestSplitDataset:
-    def test_halves_floor(self):
-        data = Dataset(
-            rows=np.zeros(101, dtype=int),
-            cols=np.arange(101) % 7,
-            values=np.arange(101.0),
-        )
-        train, evl = split_dataset(data, SplitMode.HALVES)
-        assert len(train) == 50 and len(evl) == 51
-        # Grouped by entry (the column here), arrival order within an entry.
-        assert list(train.values) == sorted(range(50), key=lambda v: (v % 7, v))
-        assert list(evl.values) == sorted(range(50, 101), key=lambda v: (v % 7, v))
-
-    def test_by_multiplicity_rule(self):
-        # observations at entries a, b, a, c -> train {b, c}, eval {a, a}
-        data = make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)])
-        train, evl = split_dataset(data, SplitMode.BY_MULTIPLICITY)
-        assert list(train.values) == [2.0, 4.0]
-        assert list(evl.values) == [1.0, 3.0]
-
-    def test_by_multiplicity_all_distinct(self):
-        data = make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)])
-        train, evl = split_dataset(data, SplitMode.BY_MULTIPLICITY)
-        assert len(train) == 3 and len(evl) == 0
-
-    def test_union_is_original_multiset(self):
-        rng = named_stream(42)
-        spec = MatrixSpec(index=1, dim=8, rank_bound=1)
-        gt = generate_ground_truth(spec, 0)
-        data = new_samples(gt, 0.5, 200, rng)
-        for mode in SplitMode:
-            train, evl = split_dataset(data, mode)
-            assert len(train) + len(evl) == len(data)
-            combined = sorted(
-                zip(
-                    np.concatenate([train.rows, evl.rows]),
-                    np.concatenate([train.cols, evl.cols]),
-                    np.concatenate([train.values, evl.values]),
-                )
-            )
-            original = sorted(zip(data.rows, data.cols, data.values))
-            assert combined == original
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             split_dataset(Dataset(), SplitMode.HALVES)
@@ -114,6 +71,15 @@ class TestGroupingByEntry:
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
+    # HALVES with an odd count: 50 train, 51 eval, each grouped by column.
+    @example(Dataset(rows=np.zeros(101, dtype=int), cols=np.arange(101) % 7,
+                     values=np.arange(101.0)))
+    # Entries a, b, a, c: train {b, c}, eval {a, a}.
+    @example(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)]))
+    # All distinct: BY_MULTIPLICITY trains on every observation.
+    @example(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]))
+    # One observation: HALVES trains on none.
+    @example(make_dataset([(0, 0, 1.0)]))
     def test_split_dataset(self, data):
         rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
         groups = positions_by_entry(data)
@@ -133,6 +99,11 @@ class TestGroupingByEntry:
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
+    @example(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
+    @example(Dataset())
+    # Consecutive disjoint pairs, and an odd leftover discarded.
+    @example(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
+    @example(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
     def test_paired_arrays(self, data):
         values = data.values.tolist()
         expected = [
@@ -155,38 +126,6 @@ class TestGroupingByEntry:
             expected.append((i, j, total / len(ps)))
         got = _averaged_targets(data)
         assert list(zip(*(a.tolist() for a in got))) == expected
-
-
-class TestPairDoubleSamples:
-    def test_single_duplicate(self):
-        evl = make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)])
-        rows, cols, y, y2 = paired_arrays(evl)
-        assert list(zip(rows, cols, y, y2)) == [(0, 0, 0.2, 0.4)]
-
-    def test_empty(self):
-        assert all(len(a) == 0 for a in paired_arrays(Dataset()))
-
-    def test_consecutive_disjoint_pairs(self):
-        evl = make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)])
-        _, _, y, y2 = paired_arrays(evl)
-        assert list(zip(y, y2)) == [(1.0, 2.0), (3.0, 4.0)]
-
-    def test_odd_leftover_discarded(self):
-        evl = make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)])
-        _, _, y, y2 = paired_arrays(evl)
-        assert list(zip(y, y2)) == [(1.0, 2.0)]
-
-    def test_pair_count_bound_and_entry_match(self):
-        spec = MatrixSpec(index=1, dim=6, rank_bound=1)
-        gt = generate_ground_truth(spec, 2)
-        for seed in range(10):
-            evl = new_samples(gt, 1.0, 120, named_stream(50, seed))
-            rows, cols, y, y2 = paired_arrays(evl)
-            assert len(y) <= len(evl) // 2
-            lookup = list(zip(evl.rows, evl.cols, evl.values))
-            for i, j, a, b in zip(rows, cols, y, y2):
-                assert (i, j, a) in lookup
-                assert (i, j, b) in lookup
 
 
 def r_n(est, entries):
@@ -221,12 +160,12 @@ class TestEstimateError:
         est = np.full((3, 3), 2.0)
         assert r_n(est, [(1, 1, 2.3), (1, 1, 1.7)]) == pytest.approx(-0.09)
 
-    def test_no_pairs_rejected(self):
-        # entries seen once give no pair, hence no estimate and no band
-        bundle = estimate_error_bound(
-            as_estimate(np.zeros((2, 2))),
-            make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2, 1.0,
-        )
+    @pytest.mark.parametrize("evl,d", [
+        (make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2), (Dataset(), 3),
+    ], ids=["entries_seen_once", "empty"])
+    def test_no_pairs_gives_infinite_band(self, evl, d):
+        # no pair, hence no estimate and no band
+        bundle = estimate_error_bound(as_estimate(np.zeros((d, d))), evl, d, 1.0)
         assert (bundle.n_pairs, bundle.r_n, bundle.b) == (0, None, math.inf)
 
     def test_unbiased_monte_carlo(self):
@@ -269,12 +208,6 @@ class TestBValue:
 
 
 class TestErrorEstimateBundle:
-    def test_zero_pairs_gives_infinite_band(self):
-        bundle = estimate_error_bound(as_estimate(np.zeros((3, 3))), Dataset(), 3, 1.0)
-        assert bundle.n_pairs == 0
-        assert bundle.r_n is None
-        assert math.isinf(bundle.b)
-
     def test_invariant_enforced(self):
         with pytest.raises(ValueError):
             ErrorEstimate(n_pairs=0, r_n=None, b=1.0)

@@ -10,6 +10,7 @@ top-level function or class is read somewhere in the package (as a
 name or an attribute) or listed in its module's ``__all__``, so no dead
 definition is left behind, and every field of a dataclass is read
 somewhere in the package as an attribute, bar the few kept on purpose.
+Every top-level helper of the tests is read by a test module.
 ``checks`` imports no test-only package and its ``trace_violation`` no
 engine code it restates. All checks read the source with ``ast`` and import nothing.
 """
@@ -20,6 +21,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "amcsim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
 
 
 def exported(tree: ast.Module) -> list[str]:
@@ -100,7 +102,11 @@ def test_package_reexports_only_exported_names():
 
 
 def dead_definitions(sources: dict[str, str]) -> list[str]:
-    """Top-level functions and classes that no module reads and no ``__all__`` lists."""
+    """Top-level functions and classes that no module reads and no ``__all__`` lists.
+
+    A parameter name counts as a read, so a pytest fixture is used by
+    the tests that take it.
+    """
     trees = {name: ast.parse(source) for name, source in sources.items()}
     read = set()
     for tree in trees.values():
@@ -109,6 +115,8 @@ def dead_definitions(sources: dict[str, str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+            elif isinstance(node, ast.arg):
+                read.add(node.arg)
     return sorted(
         f"{name}.{node.name}"
         for name, tree in trees.items()
@@ -124,13 +132,22 @@ def test_detector_flags_a_dead_definition():
         "a": "__all__ = ['f']\ndef f(): return _g()\ndef _g(): pass\ndef _orphan(): pass\n",
         "b": "from . import a\nclass Gone(Exception): pass\ndef h(): a._used()\n"
              "def _used(): pass\n",
+        "c": "def fixture(): pass\ndef test_f(fixture): pass\n",
     }
-    assert dead_definitions(sources) == ["a._orphan", "b.Gone", "b.h"]
+    assert dead_definitions(sources) == ["a._orphan", "b.Gone", "b.h", "c.test_f"]
 
 
 def test_no_dead_definitions():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert dead_definitions(sources) == []
+
+
+def test_no_dead_test_helpers():
+    # pytest finds tests by name, so only the helpers must be read.
+    sources = {path.stem: path.read_text() for path in TESTS.glob("*.py")}
+    dead = [name for name in dead_definitions(sources)
+            if not name.split(".")[1].startswith(("test_", "Test"))]
+    assert dead == []
 
 
 # Dataclass fields that only tests read, each kept for its reason.

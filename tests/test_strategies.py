@@ -1,6 +1,4 @@
 import math
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,35 +156,43 @@ class TestComputeLoss:
             StrategySpec("uniform", p=2.0)
 
 
+# One fixed run per entry: (dims, ranks, problem seed, settings, strategy,
+# rng). ``trace_violation`` fixes every batch, and with one arm or under
+# uniform every pick, so it pins the doubling sequence, the equal
+# sub-batches, the round-robin spread, the early end at the caps and the
+# clamped first batches of these runs.
+FIXED_RUNS = [
+    pytest.param([20], [2], 5, dict(sigma=0.1, budget=2000, schedule=Doubling(),
+                 split=SplitMode.HALVES, confidence_scale=8.0), P1, 3, id="single_arm_doubles"),
+    pytest.param([8, 8], [1, 1], 7, dict(sigma=0.05, budget=256, schedule=Doubling(),
+                 split=SplitMode.HALVES, confidence_scale=8.0), P1, 5, id="caps_end_run_early"),
+    # The free 720 - 3 * 160 fits in one arm's remaining 400 - 160, so the
+    # d^2 clamp cannot bind whatever the chooser does.
+    pytest.param([20] * 3, [2] * 3, 10, dict(sigma=0.1, budget=720, schedule=Discretized(8, 10),
+                 confidence_scale=0.0625), P1, 8, id="init_then_equal_batches"),
+    pytest.param([16] * 4, [2] * 4, 11, dict(sigma=0.1, budget=2000, schedule=Discretized(8, 12),
+                 confidence_scale=0.0625), UNIFORM, 9, id="uniform_round_robin"),
+    pytest.param([20], [2], 13, dict(sigma=0.1, budget=1000, schedule=Discretized(8, 5),
+                 split=SplitMode.HALVES, confidence_scale=0.0625), P1, 11, id="reuse_to_cap"),
+    # Each first batch is clamped to d^2 and the budget covers exactly both.
+    pytest.param([6, 6], [1, 1], 15, dict(sigma=0.1, budget=72, schedule=Discretized(8, 4),
+                 confidence_scale=8.0), P1, 13, id="clamped_init_discretized"),
+    pytest.param([3, 3], [1, 1], 15, dict(sigma=0.1, budget=18, schedule=Doubling(),
+                 confidence_scale=8.0), P1, 13, id="clamped_init_doubling"),
+]
+
+
+class TestFixedRuns:
+    @pytest.mark.parametrize("dims,ranks,seed,kw,strategy,rng", FIXED_RUNS)
+    def test_trace_obeys_laws(self, dims, ranks, seed, kw, strategy, rng):
+        truths = make_problem(dims, ranks, seed=seed)
+        cfg = run_config(truths, estimator=FAST_CFG, **kw)
+        runner = malocate_run if strategy.kind == "malocate" else uniform_run
+        _, trace = runner(truths, cfg, strategy, rng)
+        assert trace_violation(cfg, strategy, trace) is None
+
+
 class TestDoublingRuns:
-    def test_single_arm_doubles(self):
-        truths = make_problem([20], [2], seed=5)
-        n = 2000
-        cfg = run_config(
-            truths, sigma=0.1, budget=n, schedule=Doubling(), estimator=FAST_CFG,
-            split=SplitMode.HALVES, confidence_scale=8.0,
-        )
-        _, trace = malocate_run(truths, cfg, P1, rng=3)
-        base = initial_batch(20)
-        spent = [e.t_values[0] for e in trace.events]
-        expected = []
-        total = base
-        while total <= min(n, 400):
-            expected.append(total)
-            total = min(2 * total, 400)  # cap at d^2
-            if expected[-1] == 400:
-                break
-        assert spent[: len(expected)] == expected
-
-    def test_budget_too_small_rejected(self):
-        truths = make_problem([30, 30], [2, 2])
-        cfg = run_config(
-            truths, sigma=0.0, budget=100, schedule=Doubling(), estimator=FAST_CFG,
-            split=SplitMode.HALVES, confidence_scale=8.0,
-        )
-        with pytest.raises(ValueError):
-            malocate_run(truths, cfg, P1, rng=0)
-
     def test_problem_must_match_config(self):
         truths = make_problem([8, 10], [1, 1])
         cfg = run_config(truths, budget=200, schedule=Doubling())
@@ -194,17 +200,6 @@ class TestDoublingRuns:
             for strategy, runner in ((P1, malocate_run), (UNIFORM, uniform_run)):
                 with pytest.raises(ValueError, match="cfg.dims"):
                     runner(problem, cfg, strategy, rng=0)
-
-    def test_caps_end_run_early(self):
-        truths = make_problem([8, 8], [1, 1], seed=7)
-        n = 8 * 8 * 4  # far more than both caps
-        cfg = run_config(
-            truths, sigma=0.05, budget=n, schedule=Doubling(), estimator=FAST_CFG,
-            split=SplitMode.HALVES, confidence_scale=8.0,
-        )
-        _, trace = malocate_run(truths, cfg, P1, rng=5)
-        assert trace.ended_early
-        assert trace.events[-1].t_values == (64, 64)
 
     def test_b_monotone_and_guarded_updates(self):
         truths = make_problem([20, 24], [2, 3], seed=8)
@@ -242,42 +237,6 @@ class TestDoublingRuns:
 
 
 class TestDiscretizedRuns:
-    def test_init_then_equal_batches(self):
-        truths = make_problem([20, 20, 20], [2, 2, 2], seed=10)
-        # every arm is capped at d^2 = 400 samples; after the 3 x 160 init
-        # the free 240 must fit in one arm's remaining 400 - 160, so the
-        # d^2 clamp cannot bind whatever the chooser does:
-        # n - (K - 1) * init = 720 - 320 <= 400
-        n = 720
-        cfg = run_config(
-            truths, sigma=0.1, budget=n,
-            schedule=Discretized(init_multiplier=8, num_batches=10), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
-        )
-        _, trace = malocate_run(truths, cfg, P1, rng=8)
-        init = [e.batch for e in trace.events[:3]]
-        assert init == [160, 160, 160]
-        free = n - 480
-        sub = math.ceil(free / 10)
-        mid_batches = {e.batch for e in trace.events[3:-1]}
-        assert mid_batches <= {sub}
-        assert trace.events[-1].t <= n
-        assert not trace.ended_early
-        assert trace.events[-1].t == n
-
-    def test_uniform_round_robin_equalizes(self):
-        truths = make_problem([16, 16, 16, 16], [2, 2, 2, 2], seed=11)
-        n = 2000
-        cfg = run_config(
-            truths, sigma=0.1, budget=n,
-            schedule=Discretized(init_multiplier=8, num_batches=12), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
-        )
-        _, trace = uniform_run(truths, cfg, UNIFORM, rng=9)
-        final = trace.events[-1].t_values
-        sub = math.ceil((n - 4 * 128) / 12)
-        assert max(final) - min(final) <= sub
-
     def test_single_arm_strategies_agree(self):
         truths = make_problem([20], [2], seed=12)
         cfg = run_config(
@@ -289,35 +248,21 @@ class TestDiscretizedRuns:
         assert [e.t_values for e in t_mal.events] == [e.t_values for e in t_uni.events]
         assert [e.loss_p1 for e in t_mal.events] == [e.loss_p1 for e in t_uni.events]
 
-    def test_reuse_accumulates_training_data(self):
-        truths = make_problem([20], [2], seed=13)
-        n = 1000
-        cfg = run_config(
-            truths, sigma=0.1, budget=n,
-            schedule=Discretized(8, 5, reuse_samples=True), estimator=FAST_CFG,
-            split=SplitMode.HALVES, confidence_scale=0.0625,
-        )
-        _, trace = malocate_run(truths, cfg, P1, rng=11)
-        # under HALVES with reuse, the training set grows with accumulated data
-        assert trace.events[-1].t_values[0] == min(n, 400)
-
 
 class TestInitClampedToCap:
     # The budget has to cover each arm's first batch after the d^2 clamp:
-    # 8 * 6 = 48 is clamped to 36 and initial_batch(3) = 12 to 9.
+    # 8 * 6 = 48 is clamped to 36 and initial_batch(3) = 12 to 9. The runs
+    # at budget 2 d^2 are in FIXED_RUNS.
     @pytest.mark.parametrize("dim,schedule", [(6, Discretized(8, 4)), (3, Doubling())])
     def test_budget_of_clamped_init(self, dim, schedule):
         truths = make_problem([dim, dim], [1, 1], seed=15)
         n = 2 * dim * dim
         cfg = run_config(
-            truths, sigma=0.1, budget=n, schedule=schedule, estimator=FAST_CFG,
+            truths, sigma=0.1, budget=n - 1, schedule=schedule, estimator=FAST_CFG,
             split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
         )
-        _, trace = malocate_run(truths, cfg, P1, rng=13)
-        assert [e.batch for e in trace.events] == [dim * dim, dim * dim]
-        assert trace.events[-1].t == n
         with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
-            malocate_run(truths, replace(cfg, budget=n - 1), P1, rng=13)
+            malocate_run(truths, cfg, P1, rng=13)
 
 
 class TestRefitData:
