@@ -34,12 +34,6 @@ def make_dataset(entries):
     return Dataset(rows=rows, cols=cols, values=values)
 
 
-class TestSplitDataset:
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            split_dataset(Dataset(), SplitMode.HALVES)
-
-
 @st.composite
 def crowded_datasets(draw):
     """A d x d dataset, d in 2..8, of up to 200 observations on few entries."""
@@ -66,53 +60,93 @@ def assert_same(got, rows, cols, values):
     assert got.values.tolist() == values
 
 
+def check_split(data):
+    """Each part of each split mode matches a dict walk of ``data`` by entry."""
+    rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
+    groups = positions_by_entry(data)
+    walk = [p for ps in groups.values() for p in ps]
+    half = len(data) // 2
+    trains = {
+        SplitMode.HALVES: lambda p: p < half,
+        SplitMode.BY_MULTIPLICITY: lambda p: len(groups[rows[p], cols[p]]) == 1,
+    }
+    for mode, in_train in trains.items():
+        parts = split_dataset(data, mode)
+        for part, trained in zip(parts, (True, False)):
+            kept = [p for p in walk if in_train(p) == trained]
+            assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
+            # A part is already grouped: by_entry leaves it in place.
+            assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
+
+
+def check_pairs(data):
+    """The eval pairs are consecutive looks at one entry, entries in row-major order."""
+    values = data.values.tolist()
+    expected = [
+        (i, j, values[ps[k]], values[ps[k + 1]])
+        for (i, j), ps in positions_by_entry(data).items()
+        for k in range(0, len(ps) - 1, 2)
+    ]
+    got = paired_arrays(data)
+    assert list(zip(*(a.tolist() for a in got))) == expected
+
+
+class TestSplitDataset:
+    def test_halves_floor(self):
+        # HALVES with an odd count: 50 train, 51 eval, each grouped by column.
+        check_split(Dataset(rows=np.zeros(101, dtype=int), cols=np.arange(101) % 7,
+                            values=np.arange(101.0)))
+
+    def test_by_multiplicity_rule(self):
+        # Entries a, b, a, c: train {b, c}, eval {a, a}.
+        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)]))
+
+    def test_by_multiplicity_all_distinct(self):
+        # All distinct: BY_MULTIPLICITY trains on every observation.
+        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]))
+
+    def test_union_is_original_multiset(self):
+        gt = generate_ground_truth(MatrixSpec(index=1, dim=8, rank_bound=1), 0)
+        check_split(new_samples(gt, 0.5, 200, named_stream(42)))
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            split_dataset(Dataset(), SplitMode.HALVES)
+
+
+class TestPairDoubleSamples:
+    def test_single_duplicate(self):
+        check_pairs(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
+
+    def test_empty(self):
+        check_pairs(Dataset())
+
+    def test_consecutive_disjoint_pairs(self):
+        check_pairs(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
+
+    def test_odd_leftover_discarded(self):
+        check_pairs(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
+
+    def test_pair_count_bound_and_entry_match(self):
+        gt = generate_ground_truth(MatrixSpec(index=1, dim=6, rank_bound=1), 2)
+        for seed in range(10):
+            check_pairs(new_samples(gt, 1.0, 120, named_stream(50, seed)))
+
+
 class TestGroupingByEntry:
     """Every grouping by entry matches a plain dict walk of the observations."""
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
-    # HALVES with an odd count: 50 train, 51 eval, each grouped by column.
-    @example(Dataset(rows=np.zeros(101, dtype=int), cols=np.arange(101) % 7,
-                     values=np.arange(101.0)))
-    # Entries a, b, a, c: train {b, c}, eval {a, a}.
-    @example(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)]))
-    # All distinct: BY_MULTIPLICITY trains on every observation.
-    @example(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]))
     # One observation: HALVES trains on none.
     @example(make_dataset([(0, 0, 1.0)]))
     def test_split_dataset(self, data):
-        rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
-        groups = positions_by_entry(data)
-        walk = [p for ps in groups.values() for p in ps]
-        half = len(data) // 2
-        trains = {
-            SplitMode.HALVES: lambda p: p < half,
-            SplitMode.BY_MULTIPLICITY: lambda p: len(groups[rows[p], cols[p]]) == 1,
-        }
-        for mode, in_train in trains.items():
-            parts = split_dataset(data, mode)
-            for part, trained in zip(parts, (True, False)):
-                kept = [p for p in walk if in_train(p) == trained]
-                assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
-                # A part is already grouped: by_entry leaves it in place.
-                assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
+        check_split(data)
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
-    @example(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
-    @example(Dataset())
-    # Consecutive disjoint pairs, and an odd leftover discarded.
-    @example(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
-    @example(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
     def test_paired_arrays(self, data):
-        values = data.values.tolist()
-        expected = [
-            (i, j, values[ps[k]], values[ps[k + 1]])
-            for (i, j), ps in positions_by_entry(data).items()
-            for k in range(0, len(ps) - 1, 2)
-        ]
-        got = paired_arrays(data)
-        assert list(zip(*(a.tolist() for a in got))) == expected
+        check_pairs(data)
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())

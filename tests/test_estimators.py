@@ -328,6 +328,13 @@ class TestSoftImpute:
         )
         assert np.array_equal(cold.values, ignored.values)
 
+    def test_surrogate_objective_monotone_in_debug(self):
+        spec = MatrixSpec(index=1, dim=30, rank_bound=3)
+        gt = generate_ground_truth(spec, 17)
+        data = new_samples(gt, 0.1, 700, named_stream(7))
+        cfg = EstimatorConfig(max_iters=200, tol=1e-9)
+        soft_impute_fit(data, spec, cfg)  # raises AssertionError on an accepted rise
+
     def test_halves_recovery_noiseless(self):
         rng = np.random.default_rng(23)
         d = 20
@@ -375,3 +382,31 @@ class TestSoftImpute:
                 est = soft_impute_fit(train, spec, cfg)
                 out.append(float(np.sum((est.values - gt.entries) ** 2)))
         assert np.median(small) > np.median(large)
+
+
+class TestGetEstimator:
+    """Fit on the training part of a split, as each refit of a run does."""
+
+    def test_halves_trains_on_half(self):
+        spec = MatrixSpec(index=1, dim=20, rank_bound=2)
+        gt = generate_ground_truth(spec, 19)
+        data = new_samples(gt, 0.0, 100, named_stream(8))
+        train, _ = split_dataset(data, SplitMode.HALVES)
+        soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
+        assert len(train) == 50
+
+    def test_by_multiplicity_all_distinct(self):
+        d = 6
+        rows, cols = np.divmod(np.arange(12), d)
+        data = Dataset(rows=rows, cols=cols, values=np.ones(12))
+        spec = MatrixSpec(index=1, dim=d, rank_bound=1)
+        train, _ = split_dataset(data, SplitMode.BY_MULTIPLICITY)
+        soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
+        assert len(train) == 12
+
+    def test_empty_train_portion_rejected(self):
+        spec = MatrixSpec(index=1, dim=5, rank_bound=1)
+        data = Dataset(rows=[0], cols=[0], values=[1.0])
+        train, _ = split_dataset(data, SplitMode.HALVES)
+        with pytest.raises(ValueError):
+            soft_impute_fit(train, spec, EstimatorConfig())
