@@ -75,10 +75,10 @@ CONFIGS = {
         schedule=Discretized(4, 6, reuse_samples=True),
         split=SplitMode.BY_MULTIPLICITY, budget=112,
     ),
-    "discretized_fresh_halves": _config(
-        "discretized_fresh_halves", dims=(10, 10), ranks=(2, 3),
+    "discretized_fresh_by_mult": _config(
+        "discretized_fresh_by_mult", dims=(10, 10), ranks=(2, 3),
         schedule=Discretized(4, 5, reuse_samples=False),
-        split=SplitMode.HALVES, budget=130, seed=7,
+        split=SplitMode.BY_MULTIPLICITY, budget=130, seed=7,
     ),
     # d = 6 arms: init 8 * 6 = 48 is clamped to the cap 36, then every
     # arm is capped and the run ends early.
