@@ -18,7 +18,6 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 from .error_bounds import (
     ErrorEstimate,
-    SplitMode,
     b_value,
     estimate_error_bound,
     split_dataset,
@@ -54,12 +53,10 @@ from .problem import (
 from .strategies import (
     ArmState,
     Discretized,
-    Doubling,
     ExperimentConfig,
     RunTrace,
     StrategySpec,
     TraceEvent,
-    initial_batch,
     loss_from_errors,
     malocate_run,
     oracle_run,

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .error_bounds import SplitMode
 from .estimators import (
     EstimatorConfig,
     gram_svt,
@@ -42,11 +41,9 @@ from .problem import MatrixSpec, generate_ground_truth, named_stream, new_sample
 from .strategies import (
     ArmState,
     Discretized,
-    Doubling,
     ExperimentConfig,
     RunTrace,
     StrategySpec,
-    initial_batch,
     loss_from_errors,
     select_index,
 )
@@ -63,14 +60,13 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
 
     - Budget: t = sum of T_k <= budget, all spent unless the run ended
       early with every arm at its cap d^2.
-    - Batches: an arm's first is ``init_multiplier * d`` (Discretized) or
-      ``initial_batch(d)`` (Doubling); a later one T_k (Doubling) or
+    - Batches: an arm's first is ``init_multiplier * d``, a later one
       ceil(free / num_batches), free being the budget after every first
       batch clamped to its cap. Each is clamped to the budget left and to
       d^2 - T_k.
-    - Selection: a Discretized run first visits the arms in order. Then,
-      among arms below their cap, uniform takes the next after the last
-      pick; malocate the largest score w^(1/p) d^2 B T^(-1/p) (w d^2 B at
+    - Selection: a run first visits the arms in order. Then, among arms
+      below their cap, uniform takes the next after the last pick;
+      malocate the largest score w^(1/p) d^2 B T^(-1/p) (w d^2 B at
       p = inf), an infinite B first and ties to the lowest position; the
       oracle the same with B the true per-entry error, inf without an
       estimate. Whether an arm with samples and an infinite band has an
@@ -79,11 +75,10 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
     - Bands never rise, and an event changes no T_k, B_k or true error of
       an arm it did not choose.
     """
-    K, budget, doubling = cfg.num_matrices, cfg.budget, isinstance(cfg.schedule, Doubling)
+    K, budget, schedule = cfg.num_matrices, cfg.budget, cfg.schedule
     caps = [d * d for d in cfg.dims]
-    first = [min(initial_batch(d) if doubling else cfg.schedule.init_multiplier * d, d * d)
-             for d in cfg.dims]
-    later = None if doubling else math.ceil((budget - sum(first)) / cfg.schedule.num_batches)
+    first = [min(schedule.init_multiplier * d, d * d) for d in cfg.dims]
+    later = math.ceil((budget - sum(first)) / schedule.num_batches)
     weights = strategy.weights or (1.0,) * K
     p = math.inf if strategy.p is None else strategy.p
     # Arm i's samples, band and true error before an event. Before the
@@ -96,7 +91,7 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
         below_cap = [i for i in range(K) if T[i] < caps[i]]
         if not below_cap:
             return f"event {j} comes after every arm reached its cap"
-        if not doubling and j < K:
+        if j < K:
             want = j
         elif strategy.kind == "uniform":
             want = min(below_cap, key=lambda i: (i - last - 1) % K)
@@ -118,7 +113,7 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
             want = max(below_cap, key=score)
         if pos != want:
             return f"event {j} chose arm {pos}, the selection law picks arm {want}"
-        law = first[pos] if T[pos] == 0 else (T[pos] if doubling else later)
+        law = first[pos] if T[pos] == 0 else later
         batch = min(law, budget - spent, caps[pos] - T[pos])
         grown = T[:pos] + [T[pos] + batch] + T[pos + 1:]
         if (event.batch, event.t, list(event.t_values)) != (batch, spent + batch, grown):
@@ -281,7 +276,6 @@ def _tiny_config(**overrides) -> ExperimentConfig:
             StrategySpec("uniform"),
         ),
         schedule=Discretized(init_multiplier=8, num_batches=10, reuse_samples=True),
-        split=SplitMode.BY_MULTIPLICITY,
         estimator=EstimatorConfig(max_iters=80, tol=1e-4),
         confidence_scale=0.0625,
         reps=2,
@@ -298,12 +292,9 @@ def _tiny_result() -> ExperimentResult:
 
 
 def check_run_loop_laws() -> str | None:
-    """``trace_violation`` on every job of the tiny run and of one Doubling run."""
-    doubling = _tiny_config(
-        schedule=Doubling(), budget=4000, strategies=(StrategySpec("malocate", p=1.0),),
-        split=SplitMode.HALVES, reps=1,
-    )
-    for result in (_tiny_result(), run_experiment(doubling)):
+    """``trace_violation`` on every job of the tiny run, whose caps the run
+    fills, and of one run whose last batch is cut to the budget left."""
+    for result in (_tiny_result(), run_experiment(_tiny_config(budget=905, reps=1))):
         for rep, strategy, trace in result.jobs:
             failure = trace_violation(result.cfg, strategy, trace)
             if failure is not None:

@@ -8,7 +8,6 @@ The band adds a width that shrinks like 1/sqrt(N) in the pair count.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -18,26 +17,12 @@ from .estimators import MatrixEstimate
 from .problem import Dataset
 
 __all__ = [
-    "SplitMode",
     "ErrorEstimate",
     "split_dataset",
     "paired_arrays",
     "b_value",
     "estimate_error_bound",
 ]
-
-
-class SplitMode(enum.Enum):
-    """How to divide a dataset into a training and an evaluation part.
-
-    HALVES: the first half of the arrivals trains, the rest evaluates.
-    BY_MULTIPLICITY: entries seen exactly once train; every observation
-    of an entry seen twice or more evaluates. The second variant wastes
-    no repeat-free observations and is what the experiments use.
-    """
-
-    HALVES = "halves"
-    BY_MULTIPLICITY = "by_multiplicity"
 
 
 @dataclass(frozen=True)
@@ -58,23 +43,19 @@ class ErrorEstimate:
             raise ValueError("zero pairs must give an infinite band")
 
 
-def split_dataset(data: Dataset, mode: SplitMode) -> tuple[Dataset, Dataset]:
+def split_dataset(data: Dataset) -> tuple[Dataset, Dataset]:
     """Split one dataset into (train, eval) parts.
 
-    HALVES sends the first floor(n/2) observations to train and the rest
-    to eval. BY_MULTIPLICITY sends entries observed exactly once to
-    train and all observations of repeated entries to eval. Together the
-    parts are the original multiset, and each comes out grouped: entries
-    in row-major order, arrival order within an entry.
+    Entries observed exactly once train; every observation of an entry
+    seen twice or more evaluates, so no repeat-free observation is
+    wasted. Together the parts are the original multiset, and each comes
+    out grouped: entries in row-major order, arrival order within an
+    entry.
     """
-    n = len(data)
-    if n == 0:
+    if len(data) == 0:
         raise ValueError("cannot split an empty dataset")
     order, counts = data.by_entry()
-    if mode is SplitMode.HALVES:
-        train = order < n // 2
-    else:
-        train = np.repeat(counts == 1, counts)
+    train = np.repeat(counts == 1, counts)
     return data.take(order[train]), data.take(order[~train])
 
 

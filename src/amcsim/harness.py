@@ -22,7 +22,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from enum import Enum
 from types import UnionType
 from typing import Union, get_args, get_origin, get_type_hints
 
@@ -268,41 +267,26 @@ def write_summary_csv(summary: list[dict], path: str) -> None:
 
 
 # --- config (de)serialization ------------------------------------------------
-# Both directions follow the dataclass fields and their type hints. A member
-# of a union of dataclasses (the schedule) carries its lowercased class name
-# under "kind"; an infinite float is the string "inf".
+# Both directions follow the dataclass fields and their type hints; an
+# infinite float is the string "inf". The format also carries two tags, one
+# value each: the schedule's "kind" and the top-level "split".
+_SCHEDULE_KIND = "discretized"
+_SPLIT = "by_multiplicity"
 
 
-def _members(tp) -> tuple:
-    """The non-None members of a union hint, or ``(tp,)`` for any other hint."""
-    if get_origin(tp) in (Union, UnionType):
-        return tuple(a for a in get_args(tp) if a is not type(None))
-    return (tp,)
-
-
-def _to_json(value, tp):
+def _to_json(value):
     if is_dataclass(value):
-        hints = get_type_hints(type(value))
-        out = {f.name: _to_json(getattr(value, f.name), hints[f.name]) for f in fields(value)}
-        return {"kind": type(value).__name__.lower(), **out} if len(_members(tp)) > 1 else out
+        return {f.name: _to_json(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, tuple):
-        return [_to_json(v, get_args(_members(tp)[0])[0]) for v in value]
-    if isinstance(value, Enum):
-        return value.value
+        return [_to_json(v) for v in value]
     return "inf" if value == math.inf else value
 
 
 def _from_json(tp, raw, where: str):
-    if raw is None and type(None) in get_args(tp):
-        return None
-    members = _members(tp)
-    tp = members[0]
-    if len(members) > 1:
-        kinds = {m.__name__.lower(): m for m in members}
-        raw = dict(raw) if isinstance(raw, dict) else {}
-        tp = kinds.get(str(raw.pop("kind", None)))
-        if tp is None:
-            raise ValueError(f"{where}: kind must be one of {sorted(kinds)}")
+    if get_origin(tp) in (Union, UnionType):  # an optional field, X | None
+        if raw is None:
+            return None
+        [tp] = [a for a in get_args(tp) if a is not type(None)]
     if is_dataclass(tp):
         if not isinstance(raw, dict):
             raise ValueError(f"{where} must be an object, got {raw!r}")
@@ -337,19 +321,38 @@ def _from_json(tp, raw, where: str):
         raise ValueError(f"{where}: expected {tp.__name__}, got {raw!r}") from None
 
 
+def _untagged(raw: dict, key: str, tag: str, where: str, required: bool) -> dict:
+    """``raw`` without its format tag ``key``, which must read ``tag``."""
+    if required and key not in raw:
+        raise ValueError(f"missing keys in {where}: [{key!r}]")
+    rest = dict(raw)
+    value = rest.pop(key, tag)
+    if value != tag:
+        raise ValueError(f"{where}.{key} must be {tag!r}, got {value!r}")
+    return rest
+
+
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return _to_json(cfg, ExperimentConfig)
+    raw = _to_json(cfg)
+    raw["schedule"] = {"kind": _SCHEDULE_KIND, **raw["schedule"]}
+    raw["split"] = _SPLIT
+    return raw
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style mapping; unknown keys are rejected.
 
     A missing key takes the dataclass default, except that ``experiment``
-    defaults to "custom".
+    defaults to "custom". A given schedule must carry its kind.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"config must be an object, got {raw!r}")
-    return _from_json(ExperimentConfig, {"experiment": "custom", **raw}, "config")
+    raw = _untagged({"experiment": "custom", **raw}, "split", _SPLIT, "config", required=False)
+    if isinstance(raw.get("schedule"), dict):
+        raw["schedule"] = _untagged(
+            raw["schedule"], "kind", _SCHEDULE_KIND, "config.schedule", required=True
+        )
+    return _from_json(ExperimentConfig, raw, "config")
 
 
 def load_config(path: str) -> ExperimentConfig:

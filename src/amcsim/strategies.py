@@ -25,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .error_bounds import SplitMode, estimate_error_bound, split_dataset
+from .error_bounds import estimate_error_bound, split_dataset
 from .estimators import EstimatorConfig, MatrixEstimate, soft_impute_fit
 from .problem import Dataset, GroundTruth, MatrixSpec, named_stream, new_samples
 
@@ -34,35 +34,15 @@ __all__ = [
     "ExperimentConfig",
     "TUNED_CONFIDENCE_SCALE",
     "ArmState",
-    "Doubling",
     "Discretized",
     "RunTrace",
     "TraceEvent",
-    "initial_batch",
     "select_index",
     "loss_from_errors",
     "malocate_run",
     "uniform_run",
     "oracle_run",
 ]
-
-
-@dataclass(frozen=True)
-class Doubling:
-    """Each selection doubles the chosen matrix's cumulative sample count.
-
-    A first visit draws ``initial_batch(d)``. There is no initialization
-    pass and every refit uses the fresh batch alone.
-    """
-
-    reuse_samples = False
-    init_pass = False
-
-    def init_size(self, dim: int) -> int:
-        return initial_batch(dim)
-
-    def next_batch(self, t_k: int, free: int) -> int:
-        return t_k
 
 
 @dataclass(frozen=True)
@@ -82,19 +62,12 @@ class Discretized:
     init_multiplier: int = 8
     num_batches: int = 100
     reuse_samples: bool = True
-    init_pass = True
 
     def __post_init__(self):
         if self.init_multiplier < 1:
             raise ValueError("init_multiplier must be >= 1")
         if self.num_batches < 1:
             raise ValueError("num_batches must be >= 1")
-
-    def init_size(self, dim: int) -> int:
-        return self.init_multiplier * dim
-
-    def next_batch(self, t_k: int, free: int) -> int:
-        return max(1, math.ceil(free / self.num_batches))
 
 
 # Band coefficient used by the experiment presets. The worst-case
@@ -155,8 +128,7 @@ class ExperimentConfig:
         StrategySpec("uniform"),
         StrategySpec("oracle"),
     )
-    schedule: Doubling | Discretized = field(default_factory=Discretized)
-    split: SplitMode = SplitMode.BY_MULTIPLICITY
+    schedule: Discretized = field(default_factory=Discretized)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     confidence_scale: float = TUNED_CONFIDENCE_SCALE
     reps: int = 15
@@ -274,18 +246,6 @@ class RunTrace:
     ended_early: bool = False
 
 
-def initial_batch(dim: int) -> int:
-    """First-visit batch size 4 * ceil((d ln d + 1) / 2).
-
-    Twice the smallest even integer at least d ln d + 1, so the
-    eval half contains a double-sampled entry with high probability for
-    d >= 55. Always divisible by 4.
-    """
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
-    return 4 * math.ceil((dim * math.log(dim) + 1) / 2)
-
-
 def _pick(states: list[ArmState], score) -> int:
     """Among arms below their cap, the one with the largest ``score(pos, state)``.
 
@@ -333,7 +293,7 @@ def loss_from_errors(errors, p: float, weights=None) -> float:
 
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
     """Fit on the train part of the arm's data, band the rest, accept if not worse."""
-    train, eval_part = split_dataset(state.data, cfg.split)
+    train, eval_part = split_dataset(state.data)
     if len(train) == 0:
         return
     matrix = state.truth.spec
@@ -367,15 +327,16 @@ def _run(
         ),
     )
 
-    # Each arm's first batch, clamped to its cap; ``free`` is what the
-    # budget leaves after all of them. An initialization pass visits the
-    # arms in order before the chooser is first asked.
-    init = [min(schedule.init_size(s.dim), s.cap) for s in states]
+    # An initialization pass gives the arms, in order, their first batch
+    # of ``init_multiplier * d`` clamped to the cap; then the chooser
+    # names each arm that gets one of the equal sub-batches of what the
+    # budget leaves.
+    init = [min(schedule.init_multiplier * s.dim, s.cap) for s in states]
     if budget < sum(init):
         raise ValueError(f"budget {budget} cannot cover initialization ({sum(init)})")
-    free = budget - sum(init)
+    sub_batch = math.ceil((budget - sum(init)) / schedule.num_batches)
     spent = 0
-    init_order = iter(range(K) if schedule.init_pass else ())
+    init_order = iter(range(K))
     while spent < budget:
         pos = next(init_order, None)
         if pos is None:
@@ -385,8 +346,7 @@ def _run(
             pos = chooser(states)
         state = states[pos]
         t_k = state.samples_spent
-        desired = schedule.next_batch(t_k, free) if t_k else init[pos]
-        batch = min(desired, budget - spent, state.cap - t_k)
+        batch = min(sub_batch if t_k else init[pos], budget - spent, state.cap - t_k)
         fresh = new_samples(state.truth, cfg.sigma, batch, streams[pos])
         state.samples_spent += batch
         spent += batch

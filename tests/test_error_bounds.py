@@ -10,7 +10,6 @@ from amcsim import (
     ErrorEstimate,
     MatrixEstimate,
     MatrixSpec,
-    SplitMode,
     b_value,
     estimate_error_bound,
     generate_ground_truth,
@@ -61,22 +60,15 @@ def assert_same(got, rows, cols, values):
 
 
 def check_split(data):
-    """Each part of each split mode matches a dict walk of ``data`` by entry."""
+    """Each part of the split matches a dict walk of ``data`` by entry."""
     rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
     groups = positions_by_entry(data)
     walk = [p for ps in groups.values() for p in ps]
-    half = len(data) // 2
-    trains = {
-        SplitMode.HALVES: lambda p: p < half,
-        SplitMode.BY_MULTIPLICITY: lambda p: len(groups[rows[p], cols[p]]) == 1,
-    }
-    for mode, in_train in trains.items():
-        parts = split_dataset(data, mode)
-        for part, trained in zip(parts, (True, False)):
-            kept = [p for p in walk if in_train(p) == trained]
-            assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
-            # A part is already grouped: by_entry leaves it in place.
-            assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
+    for part, trained in zip(split_dataset(data), (True, False)):
+        kept = [p for p in walk if (len(groups[rows[p], cols[p]]) == 1) == trained]
+        assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
+        # A part is already grouped: by_entry leaves it in place.
+        assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
 
 
 def check_pairs(data):
@@ -92,17 +84,12 @@ def check_pairs(data):
 
 
 class TestSplitDataset:
-    def test_halves_floor(self):
-        # HALVES with an odd count: 50 train, 51 eval, each grouped by column.
-        check_split(Dataset(rows=np.zeros(101, dtype=int), cols=np.arange(101) % 7,
-                            values=np.arange(101.0)))
-
     def test_by_multiplicity_rule(self):
         # Entries a, b, a, c: train {b, c}, eval {a, a}.
         check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)]))
 
     def test_by_multiplicity_all_distinct(self):
-        # All distinct: BY_MULTIPLICITY trains on every observation.
+        # All distinct: the split trains on every observation.
         check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]))
 
     def test_union_is_original_multiset(self):
@@ -111,7 +98,7 @@ class TestSplitDataset:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            split_dataset(Dataset(), SplitMode.HALVES)
+            split_dataset(Dataset())
 
 
 class TestPairDoubleSamples:
@@ -138,7 +125,7 @@ class TestGroupingByEntry:
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
-    # One observation: HALVES trains on none.
+    # One observation: it trains, and the eval part is empty.
     @example(make_dataset([(0, 0, 1.0)]))
     def test_split_dataset(self, data):
         check_split(data)

@@ -10,7 +10,6 @@ from amcsim import (
     Dataset,
     EstimatorConfig,
     MatrixSpec,
-    SplitMode,
     generate_ground_truth,
     lambda_for,
     named_stream,
@@ -335,21 +334,6 @@ class TestSoftImpute:
         cfg = EstimatorConfig(max_iters=200, tol=1e-9)
         soft_impute_fit(data, spec, cfg)  # raises AssertionError on an accepted rise
 
-    def test_halves_recovery_noiseless(self):
-        rng = np.random.default_rng(23)
-        d = 20
-        truth = np.outer(rng.normal(size=d), rng.normal(size=d))
-        # duplicate full coverage so each half still covers every entry
-        base = full_coverage_dataset(truth)
-        data = base.extend(base)
-        spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=float(np.abs(truth).max()))
-        cfg = EstimatorConfig(lambda_scale=0.0, max_iters=50, tol=1e-12)
-        train = split_dataset(data, SplitMode.HALVES)[0]
-        est = soft_impute_fit(train, spec, cfg)
-        rel = np.linalg.norm(est.values - truth) / np.linalg.norm(truth)
-        assert rel <= 1e-3
-        assert len(train) == d * d
-
     def test_rising_plain_step_raises(self, monkeypatch):
         # Every step after the first lands far from the data, so the
         # momentum step is dropped and the plain step after it still rises.
@@ -387,26 +371,19 @@ class TestSoftImpute:
 class TestGetEstimator:
     """Fit on the training part of a split, as each refit of a run does."""
 
-    def test_halves_trains_on_half(self):
-        spec = MatrixSpec(index=1, dim=20, rank_bound=2)
-        gt = generate_ground_truth(spec, 19)
-        data = new_samples(gt, 0.0, 100, named_stream(8))
-        train, _ = split_dataset(data, SplitMode.HALVES)
-        soft_impute_fit(train, spec, EstimatorConfig(max_iters=20))
-        assert len(train) == 50
-
     def test_by_multiplicity_all_distinct(self):
         d = 6
         rows, cols = np.divmod(np.arange(12), d)
         data = Dataset(rows=rows, cols=cols, values=np.ones(12))
         spec = MatrixSpec(index=1, dim=d, rank_bound=1)
-        train, _ = split_dataset(data, SplitMode.BY_MULTIPLICITY)
+        train, _ = split_dataset(data)
         soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
         assert len(train) == 12
 
     def test_empty_train_portion_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
-        data = Dataset(rows=[0], cols=[0], values=[1.0])
-        train, _ = split_dataset(data, SplitMode.HALVES)
+        # Two looks at one entry: both evaluate, and none trains.
+        data = Dataset(rows=[0, 0], cols=[0, 0], values=[1.0, 2.0])
+        train, _ = split_dataset(data)
         with pytest.raises(ValueError):
             soft_impute_fit(train, spec, EstimatorConfig())

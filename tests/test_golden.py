@@ -1,11 +1,10 @@
 """Golden gate: tiny pinned configs must reproduce their stored
 metrics.csv (``<name>.csv``) and summary.csv (``<name>.summary.csv``).
 
-Together the configs cover both schedules, both splits, sample reuse on
-and off, every strategy, loss weights, and arms that hit their d^2 cap
-(in the initialization and later). The Doubling configs run two reps
-whose t-grids differ. Text and integer columns must match exactly and
-float columns to a relative 1e-9, inf matching inf. Every job's trace
+Together the configs cover sample reuse on and off, every strategy, loss
+weights, and arms that hit their d^2 cap (in the initialization and
+later). Text and integer columns must match exactly and float columns
+to a relative 1e-9, inf matching inf. Every job's trace
 must also obey the run loop's laws (``trace_violation``), weighted
 selection included.
 
@@ -23,10 +22,8 @@ import pytest
 
 from amcsim import (
     Discretized,
-    Doubling,
     EstimatorConfig,
     ExperimentConfig,
-    SplitMode,
     StrategySpec,
     aggregate,
     run_experiment,
@@ -62,30 +59,19 @@ def _config(name, **overrides):
 
 
 CONFIGS = {
-    # Doubling never reuses samples; the budget exceeds both caps.
-    "doubling_halves": _config(
-        "doubling_halves", schedule=Doubling(), split=SplitMode.HALVES, budget=200,
-    ),
-    "doubling_by_mult": _config(
-        "doubling_by_mult", dims=(10, 10), ranks=(2, 3), schedule=Doubling(),
-        split=SplitMode.BY_MULTIPLICITY, budget=150, seed=6,
-    ),
     "discretized_reuse_by_mult": _config(
         "discretized_reuse_by_mult", dims=(9, 12), ranks=(2, 3),
-        schedule=Discretized(4, 6, reuse_samples=True),
-        split=SplitMode.BY_MULTIPLICITY, budget=112,
+        schedule=Discretized(4, 6, reuse_samples=True), budget=112,
     ),
     "discretized_fresh_by_mult": _config(
         "discretized_fresh_by_mult", dims=(10, 10), ranks=(2, 3),
-        schedule=Discretized(4, 5, reuse_samples=False),
-        split=SplitMode.BY_MULTIPLICITY, budget=130, seed=7,
+        schedule=Discretized(4, 5, reuse_samples=False), budget=130, seed=7,
     ),
     # d = 6 arms: init 8 * 6 = 48 is clamped to the cap 36, then every
     # arm is capped and the run ends early.
     "discretized_capped_init": _config(
         "discretized_capped_init", dims=(6, 6), ranks=(1, 2),
-        schedule=Discretized(8, 4, reuse_samples=True),
-        split=SplitMode.BY_MULTIPLICITY, budget=100, reps=1,
+        schedule=Discretized(8, 4, reuse_samples=True), budget=100, reps=1,
     ),
 }
 

@@ -13,11 +13,9 @@ from hypothesis import strategies as st
 
 from amcsim import (
     Discretized,
-    Doubling,
     EstimatorConfig,
     ExperimentConfig,
     ExperimentResult,
-    SplitMode,
     StrategySpec,
     aggregate,
     config_from_dict,
@@ -131,9 +129,7 @@ def valid_configs(draw):
     strategy = st.builds(
         StrategySpec, st.sampled_from(["malocate", "oracle"]), p=p, weights=weights
     ) | st.builds(StrategySpec, st.sampled_from(["uniform", "oracle"]), weights=weights)
-    schedule = st.just(Doubling()) | st.builds(
-        Discretized, st.integers(1, 20), st.integers(1, 500), st.booleans()
-    )
+    schedule = st.builds(Discretized, st.integers(1, 20), st.integers(1, 500), st.booleans())
     estimator = st.builds(
         EstimatorConfig,
         lambda_scale=st.floats(0.0, 1e3),
@@ -157,7 +153,6 @@ def valid_configs(draw):
             )
         ),
         schedule=draw(schedule),
-        split=draw(st.sampled_from(SplitMode)),
         estimator=draw(estimator),
         confidence_scale=draw(positive),
         reps=draw(st.integers(1, 100)),
@@ -187,7 +182,6 @@ class TestPresets:
         assert cfg.reps == 15
         assert cfg.sigma == 0.1
         assert cfg.schedule == Discretized(8, 100, True)
-        assert cfg.split is SplitMode.BY_MULTIPLICITY
         kinds = {(s.kind, s.p) for s in cfg.strategies}
         assert ("malocate", 1.0) in kinds and ("malocate", math.inf) in kinds
         assert ("uniform", None) in kinds and ("oracle", None) in kinds
@@ -317,17 +311,17 @@ class TestAggregate:
         assert aggregate(one_rep_result) == aggregate(run_experiment(tiny_config(reps=1)))
 
     def test_matches_per_group_loop(self):
-        # Doubling t-grids differ between reps, so groups hold different
-        # rep counts, up to 9 (where numpy sums pairwise).
+        # Where an arm reaches its cap, a batch falls short of the
+        # sub-batch, so the t-grids differ between reps and groups hold
+        # every rep count from 1 to 9 (where numpy sums pairwise).
         cfg = tiny_config(
-            dims=(8, 10), schedule=Doubling(), budget=200, reps=9,
+            dims=(8, 10), schedule=Discretized(4, 7), budget=150, reps=9,
             strategies=(StrategySpec("malocate", p=1.0), StrategySpec("oracle")),
         )
         result = run_experiment(cfg)
         summary = aggregate(result)
         assert summary == loop_aggregate(result)
-        counts = {entry["n_reps"] for entry in summary}
-        assert cfg.reps in counts and len(counts) > 1
+        assert {entry["n_reps"] for entry in summary} == set(range(1, cfg.reps + 1))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -393,49 +387,34 @@ class TestConfigSerialization:
         assert config_from_dict({**raw, "budget": None}).budget == 82
         assert scaled(tiny_config(budget=5), 2.0).budget == 82
 
-    def test_doubling_takes_no_parameters(self):
-        raw = config_to_dict(tiny_config(schedule=Doubling()))
-        assert raw["schedule"] == {"kind": "doubling"}
-        raw["schedule"]["reuse_samples"] = False
-        with pytest.raises(ValueError, match="unknown keys"):
-            config_from_dict(raw)
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("sigma", "abc"),
-            ("dims", 5),
-            ("reps", [1]),
-            ("split", "thirds"),
-            ("schedule", {"kind": "bogus"}),
-            ("schedule", {"kind": "discretized", "reuse_samples": "yes"}),
-            ("strategies", [{"kind": "malocate", "p": "abc"}]),
-            ("strategies", [{"kind": "malocate", "p": math.nan}]),
-            ("strategies", [{"p": 1.0}]),
-            ("estimator", 3),
-            ("experiment", None),
-            ("experiment", ["x"]),
-            ("experiment", True),
-        ],
-    )
-    def test_malformed_values_rejected(self, key, value):
-        raw = config_to_dict(tiny_config())
-        raw[key] = value
-        with pytest.raises(ValueError):
-            config_from_dict(raw)
-
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("experiment", None, "config.experiment must be a string"),
+            ("experiment", None, "config.experiment must be a string, got None"),
+            ("experiment", ["x"], "config.experiment must be a string, got ['x']"),
+            ("experiment", True, "config.experiment must be a string, got True"),
             ("sigma", "abc", "config.sigma: expected float, got 'abc'"),
-            ("split", "bogus", "config.split: expected SplitMode, got 'bogus'"),
+            ("dims", 5, "config.dims must be a list, got 5"),
+            ("reps", [1], "config.reps: expected int, got [1]"),
+            ("estimator", 3, "config.estimator must be an object, got 3"),
+            ("strategies", [{"kind": "malocate", "p": "abc"}],
+             "config.strategies.p: expected float, got 'abc'"),
+            ("strategies", [{"kind": "malocate", "p": math.nan}], "p must be >= 1, got nan"),
+            ("strategies", [{"p": 1.0}], "missing keys in config.strategies: ['kind']"),
+            ("schedule", {"kind": "discretized", "reuse_samples": "yes"},
+             "config.schedule.reuse_samples must be true or false, got 'yes'"),
+            # The format tags: a schedule names its one kind, and the split
+            # is the one split.
+            ("schedule", {"kind": "bogus"},
+             "config.schedule.kind must be 'discretized', got 'bogus'"),
+            ("schedule", {"num_batches": 8}, "missing keys in config.schedule: ['kind']"),
+            ("split", "halves", "config.split must be 'by_multiplicity', got 'halves'"),
         ],
     )
     def test_malformed_value_names_its_field(self, key, value, message):
         raw = config_to_dict(tiny_config())
         raw[key] = value
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict(raw)
 
     @pytest.mark.parametrize(

@@ -8,14 +8,11 @@ import amcsim.strategies as strategies
 from amcsim import (
     ArmState,
     Discretized,
-    Doubling,
     EstimatorConfig,
     ExperimentConfig,
     MatrixSpec,
-    SplitMode,
     StrategySpec,
     generate_ground_truth,
-    initial_batch,
     loss_from_errors,
     malocate_run,
     oracle_run,
@@ -55,23 +52,6 @@ def arm(dim, band, spent, index=1, seed=0):
     spec = MatrixSpec(index=index, dim=dim, rank_bound=1)
     truth = generate_ground_truth(spec, seed)
     return ArmState(truth=truth, samples_spent=spent, band=band)
-
-
-class TestInitialBatch:
-    @pytest.mark.parametrize("dim,expected", [(200, 2124), (55, 444), (10, 52), (4, 16)])
-    def test_values(self, dim, expected):
-        assert initial_batch(dim) == expected
-
-    def test_divisible_by_four_and_large_enough(self):
-        for d in range(2, 301):
-            x = d * math.log(d) + 1
-            smallest_even = next(e for e in range(2, 4 * d * d, 2) if e >= x)
-            assert initial_batch(d) == 2 * smallest_even
-            assert initial_batch(d) % 4 == 0
-
-    def test_rejects_tiny_dim(self):
-        with pytest.raises(ValueError):
-            initial_batch(1)
 
 
 class TestSelectIndex:
@@ -157,28 +137,29 @@ class TestComputeLoss:
 
 
 # One fixed run per entry: (dims, ranks, problem seed, settings, strategy,
-# rng). ``trace_violation`` fixes every batch, and with one arm or under
-# uniform every pick, so it pins the doubling sequence, the equal
-# sub-batches, the round-robin spread, the early end at the caps and the
-# clamped first batches of these runs.
+# rng). ``trace_violation`` fixes every batch, and in the initialization
+# pass, with one arm or under uniform every pick, so it pins the equal
+# sub-batches, the round-robin spread, the early end at the caps, the last
+# batch cut to the budget left and the clamped first batches of these runs.
 FIXED_RUNS = [
-    pytest.param([20], [2], 5, dict(sigma=0.1, budget=2000, schedule=Doubling(),
-                 split=SplitMode.HALVES, confidence_scale=8.0), P1, 3, id="single_arm_doubles"),
-    pytest.param([8, 8], [1, 1], 7, dict(sigma=0.05, budget=256, schedule=Doubling(),
-                 split=SplitMode.HALVES, confidence_scale=8.0), P1, 5, id="caps_end_run_early"),
+    # Batches 16, 16, then two sub-batches of 56 cut to the 48 left below
+    # each cap, and the run ends early.
+    pytest.param([8, 8], [1, 1], 7, dict(sigma=0.05, budget=256, schedule=Discretized(2, 4),
+                 confidence_scale=8.0), P1, 5, id="caps_end_run_early"),
     # The free 720 - 3 * 160 fits in one arm's remaining 400 - 160, so the
     # d^2 clamp cannot bind whatever the chooser does.
     pytest.param([20] * 3, [2] * 3, 10, dict(sigma=0.1, budget=720, schedule=Discretized(8, 10),
                  confidence_scale=0.0625), P1, 8, id="init_then_equal_batches"),
+    # Batches 160 x 3, 25 x 9, then the 20 the budget leaves.
+    pytest.param([20] * 3, [2] * 3, 10, dict(sigma=0.1, budget=725, schedule=Discretized(8, 10),
+                 confidence_scale=0.0625), P1, 8, id="budget_clamps_last_batch"),
     pytest.param([16] * 4, [2] * 4, 11, dict(sigma=0.1, budget=2000, schedule=Discretized(8, 12),
                  confidence_scale=0.0625), UNIFORM, 9, id="uniform_round_robin"),
     pytest.param([20], [2], 13, dict(sigma=0.1, budget=1000, schedule=Discretized(8, 5),
-                 split=SplitMode.HALVES, confidence_scale=0.0625), P1, 11, id="reuse_to_cap"),
+                 confidence_scale=0.0625), P1, 11, id="reuse_to_cap"),
     # Each first batch is clamped to d^2 and the budget covers exactly both.
     pytest.param([6, 6], [1, 1], 15, dict(sigma=0.1, budget=72, schedule=Discretized(8, 4),
                  confidence_scale=8.0), P1, 13, id="clamped_init_discretized"),
-    pytest.param([3, 3], [1, 1], 15, dict(sigma=0.1, budget=18, schedule=Doubling(),
-                 confidence_scale=8.0), P1, 13, id="clamped_init_doubling"),
 ]
 
 
@@ -192,10 +173,10 @@ class TestFixedRuns:
         assert trace_violation(cfg, strategy, trace) is None
 
 
-class TestDoublingRuns:
+class TestDiscretizedRuns:
     def test_problem_must_match_config(self):
         truths = make_problem([8, 10], [1, 1])
-        cfg = run_config(truths, budget=200, schedule=Doubling())
+        cfg = run_config(truths, budget=200)
         for problem in ([], truths[:1], truths[::-1]):
             for strategy, runner in ((P1, malocate_run), (UNIFORM, uniform_run)):
                 with pytest.raises(ValueError, match="cfg.dims"):
@@ -204,8 +185,8 @@ class TestDoublingRuns:
     def test_b_monotone_and_guarded_updates(self):
         truths = make_problem([20, 24], [2, 3], seed=8)
         cfg = run_config(
-            truths, sigma=0.1, budget=3000, schedule=Doubling(), estimator=FAST_CFG,
-            split=SplitMode.HALVES, confidence_scale=8.0,
+            truths, sigma=0.1, budget=3000, schedule=Discretized(8, 10), estimator=FAST_CFG,
+            confidence_scale=8.0,
         )
         _, trace = malocate_run(truths, cfg, PINF, rng=6)
         assert trace_violation(cfg, PINF, trace) is None  # bands never rise
@@ -226,7 +207,7 @@ class TestDoublingRuns:
             truths, sigma=0.0, budget=n,
             schedule=Discretized(8, 20, reuse_samples=True),
             estimator=EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9),
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
+            confidence_scale=0.0625,
         )
         states, trace = malocate_run(truths, cfg, PINF, rng=7)
         errors = [
@@ -235,13 +216,11 @@ class TestDoublingRuns:
         ]
         assert max(errors) <= 1e-2
 
-
-class TestDiscretizedRuns:
     def test_single_arm_strategies_agree(self):
         truths = make_problem([20], [2], seed=12)
         cfg = run_config(
             truths, sigma=0.1, budget=1200, schedule=Discretized(8, 8), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
+            confidence_scale=0.0625,
         )
         _, t_mal = malocate_run(truths, cfg, P1, rng=10)
         _, t_uni = uniform_run(truths, cfg, UNIFORM, rng=10)
@@ -251,34 +230,31 @@ class TestDiscretizedRuns:
 
 class TestInitClampedToCap:
     # The budget has to cover each arm's first batch after the d^2 clamp:
-    # 8 * 6 = 48 is clamped to 36 and initial_batch(3) = 12 to 9. The runs
-    # at budget 2 d^2 are in FIXED_RUNS.
-    @pytest.mark.parametrize("dim,schedule", [(6, Discretized(8, 4)), (3, Doubling())])
-    def test_budget_of_clamped_init(self, dim, schedule):
-        truths = make_problem([dim, dim], [1, 1], seed=15)
-        n = 2 * dim * dim
+    # 8 * 6 = 48 is clamped to 36. The run at budget 2 d^2 is in FIXED_RUNS.
+    def test_budget_of_clamped_init(self):
+        truths = make_problem([6, 6], [1, 1], seed=15)
         cfg = run_config(
-            truths, sigma=0.1, budget=n - 1, schedule=schedule, estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
+            truths, sigma=0.1, budget=71, schedule=Discretized(8, 4), estimator=FAST_CFG,
+            confidence_scale=8.0,
         )
-        with pytest.raises(ValueError, match=f"cannot cover initialization \\({n}\\)"):
+        with pytest.raises(ValueError, match="cannot cover initialization \\(72\\)"):
             malocate_run(truths, cfg, P1, rng=13)
 
 
 class TestRefitData:
     @pytest.mark.parametrize(
         "schedule",
-        [Discretized(8, 10), Discretized(8, 10, reuse_samples=False), Doubling()],
-        ids=["reused", "latest", "doubling"],
+        [Discretized(8, 10), Discretized(8, 10, reuse_samples=False)],
+        ids=["reused", "latest"],
     )
     def test_reused_or_latest_batch(self, schedule, monkeypatch):
         # Each step refits once, on every observation of the chosen arm
         # when the schedule reuses samples, else on the step's batch.
         split, lengths = strategies.split_dataset, []
 
-        def recording_split(data, mode):
+        def recording_split(data):
             lengths.append(len(data))
-            return split(data, mode)
+            return split(data)
 
         monkeypatch.setattr(strategies, "split_dataset", recording_split)
         truths = make_problem([10, 12], [1, 2], seed=16)
@@ -302,7 +278,7 @@ class TestOracleRun:
         n = 768
         cfg = run_config(
             truths, sigma=0.05, budget=n, schedule=Discretized(8, 12), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
+            confidence_scale=8.0,
         )
         _, trace = oracle_run(truths, cfg, ORACLE, rng=12)
         final = trace.events[-1].t_values
@@ -314,7 +290,7 @@ class TestOracleRun:
         truths = make_problem([24, 24], [8, 1], seed=14)
         cfg = run_config(
             truths, sigma=0.05, budget=768, schedule=Discretized(8, 12), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
+            confidence_scale=8.0,
         )
         weighted = StrategySpec("oracle", weights=(1.0, 10.0))
         _, plain = oracle_run(truths, cfg, ORACLE, rng=12)
@@ -329,7 +305,7 @@ class TestOracleRun:
         truths = make_problem([24, 24], [8, 1], seed=14)
         cfg = run_config(
             truths, sigma=0.05, budget=768, schedule=Discretized(8, 12), estimator=FAST_CFG,
-            split=SplitMode.BY_MULTIPLICITY, confidence_scale=8.0,
+            confidence_scale=8.0,
         )
         _, default = oracle_run(truths, cfg, ORACLE, rng=12)
         _, p_inf = oracle_run(truths, cfg, StrategySpec("oracle", p=math.inf), rng=12)
@@ -345,7 +321,7 @@ class TestOracleRun:
             truths = make_problem([20, 20], [5, 1], seed=seed)
             cfg = run_config(
                 truths, sigma=0.05, budget=800, schedule=Discretized(8, 10),
-                estimator=FAST_CFG, split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
+                estimator=FAST_CFG, confidence_scale=0.0625,
             )
             _, t_orc = oracle_run(truths, cfg, ORACLE, rng=100 + seed)
             _, t_mal = malocate_run(truths, cfg, PINF, rng=100 + seed)
@@ -364,7 +340,7 @@ class TestGoodAllocation:
             cfg = run_config(
                 truths, sigma=0.1, budget=2600, schedule=Discretized(8, 30),
                 estimator=EstimatorConfig(max_iters=80, tol=1e-4),
-                split=SplitMode.BY_MULTIPLICITY, confidence_scale=0.0625,
+                confidence_scale=0.0625,
             )
             _, trace = malocate_run(truths, cfg, P1, rng=200 + seed)
             final = trace.events[-1].t_values
@@ -382,17 +358,13 @@ def loop_instances(draw, max_dim=30):
     dims = draw(st.lists(st.integers(3, max_dim), min_size=K, max_size=K))
     ranks = draw(st.lists(st.integers(1, 2), min_size=K, max_size=K))
     truths = make_problem(dims, ranks, seed=draw(st.integers(0, 2**16)))
-    schedule = draw(
-        st.just(Doubling())
-        | st.builds(Discretized, st.integers(1, 4), st.integers(1, 6), st.booleans())
-    )
-    cover = sum(min(schedule.init_size(d), d * d) for d in dims)
+    schedule = draw(st.builds(Discretized, st.integers(1, 4), st.integers(1, 6), st.booleans()))
+    cover = sum(min(schedule.init_multiplier * d, d * d) for d in dims)
     cfg = run_config(
         truths,
         sigma=draw(st.sampled_from([0.0, 0.1])),
         budget=draw(st.integers(cover, sum(d * d for d in dims) + 10)),
         schedule=schedule,
-        split=draw(st.sampled_from(SplitMode)),
         estimator=EstimatorConfig(max_iters=20, tol=1e-3),
     )
     weights = draw(st.none() | st.tuples(*[st.floats(0.1, 10)] * K))
