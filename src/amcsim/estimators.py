@@ -163,10 +163,12 @@ def soft_impute_fit(
 
     from the warm estimate (if enabled and given) or zero, with t = 1
     and theta = d * lambda_for(d, |train|, A, C'). With t_k = 1 this is
-    the plain SoftImpute step. If Z_new raises the objective while
-    t_k > 1, it is dropped and t_k is reset to 1; a plain step is
-    always accepted, and one that raises the objective by more than
-    1e-9 relative raises ``AssertionError``. Each step, dropped or not,
+    the plain SoftImpute step. If Z_new raises the objective by more
+    than rounding (1e-13 relative) while t_k > 1, it is dropped and t_k
+    is reset to 1. Any other step is accepted, and a step that raises
+    the objective at all restarts the momentum (t_{k+1} = 1); a plain
+    step that raises it by more than 1e-9 relative raises
+    ``AssertionError``. Each step, dropped or not,
     is the exact ``gram_svt``, which makes one thin ``np.linalg.svd``
     call, so the SVD count is the iteration count. Stops when an accepted step's
     relative Frobenius change is below ``cfg.tol`` (``converged``) or
@@ -197,9 +199,12 @@ def soft_impute_fit(
         resid = targets - z_new[obs_rows, obs_cols]
         new_objective = 0.5 * float(resid @ resid) + theta * float(shrunk.sum())
         if new_objective > objective:
-            if t > 1.0:
+            # Near the fixed point the objective is flat to rounding, and
+            # dropping a step on a rise within it wastes the step.
+            if t > 1.0 and new_objective > objective + 1e-13 * objective:
                 t = 1.0
                 continue
+            t_next = 1.0
             # A plain step is a proximal gradient step with step 1/L, so
             # it can rise by rounding only.
             if new_objective > objective + 1e-9 * max(1.0, objective):

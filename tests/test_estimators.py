@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amcsim import (
@@ -248,6 +248,9 @@ class TestAcceleratedFit:
         rank=st.integers(1, 10),
         seed=st.integers(0, 2**16),
     )
+    # Near the tol floor the objective is flat to rounding; this input
+    # once lost the fit its lead by dropping momentum steps on such rises.
+    @example(d=36, share=1.0, rank=6, seed=26702)
     def test_fixed_point_matches_plain_loop(self, d, share, rank, seed):
         spec, _, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
         cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)

@@ -388,6 +388,30 @@ class TestConfigSerialization:
         assert scaled(tiny_config(budget=5), 2.0).budget == 82
 
     @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("sigma", "abc"),
+            ("dims", 5),
+            ("reps", [1]),
+            ("split", "thirds"),
+            ("schedule", {"kind": "bogus"}),
+            ("schedule", {"kind": "discretized", "reuse_samples": "yes"}),
+            ("strategies", [{"kind": "malocate", "p": "abc"}]),
+            ("strategies", [{"kind": "malocate", "p": math.nan}]),
+            ("strategies", [{"p": 1.0}]),
+            ("estimator", 3),
+            ("experiment", None),
+            ("experiment", ["x"]),
+            ("experiment", True),
+        ],
+    )
+    def test_malformed_values_rejected(self, key, value):
+        raw = config_to_dict(tiny_config())
+        raw[key] = value
+        with pytest.raises(ValueError):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize(
         "key,value,message",
         [
             ("experiment", None, "config.experiment must be a string, got None"),
