@@ -69,11 +69,9 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
       malocate the largest score w^(1/p) d^2 B T^(-1/p) (w d^2 B at
       p = inf), an infinite B first and ties to the lowest position; the
       oracle the same with B the true per-entry error, inf without an
-      estimate. Whether an arm with samples and an infinite band has an
-      estimate the trace does not show, so while one is open the oracle's
-      pick is not checked.
-    - Bands never rise, and an event changes no T_k, B_k or true error of
-      an arm it did not choose.
+      estimate, as each event records.
+    - Bands never rise, and an event changes no T_k, B_k, true error or
+      estimate of an arm it did not choose.
     """
     K, budget, schedule = cfg.num_matrices, cfg.budget, cfg.schedule
     caps = [d * d for d in cfg.dims]
@@ -81,10 +79,10 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
     later = math.ceil((budget - sum(first)) / schedule.num_batches)
     weights = strategy.weights or (1.0,) * K
     p = math.inf if strategy.p is None else strategy.p
-    # Arm i's samples, band and true error before an event. Before the
-    # first event E holds that event's errors: those of every arm it did
-    # not choose are still their errors at the start.
-    T, B, spent, last = [0] * K, [math.inf] * K, 0, -1
+    # Arm i's samples, band, true error and whether it holds an estimate
+    # before an event. Before the first event E holds that event's errors:
+    # those of every arm it did not choose are still their errors at the start.
+    T, B, H, spent, last = [0] * K, [math.inf] * K, [False] * K, 0, -1
     E = list(trace.events[0].true_errors) if trace.events else []
     for j, event in enumerate(trace.events):
         pos = event.chosen - 1
@@ -95,12 +93,10 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
             want = j
         elif strategy.kind == "uniform":
             want = min(below_cap, key=lambda i: (i - last - 1) % K)
-        elif strategy.kind == "oracle" and any(T[i] and math.isinf(B[i]) for i in below_cap):
-            want = pos  # not checked: see the docstring
         else:
             bands = B
             if strategy.kind == "oracle":
-                bands = [e if b < math.inf else math.inf for b, e in zip(B, E)]
+                bands = [e if h else math.inf for h, e in zip(H, E)]
 
             def score(i):
                 if math.isinf(bands[i]):
@@ -122,9 +118,10 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
         if event.b_values[pos] > B[pos]:
             return f"event {j} raised arm {pos}'s band from {B[pos]} to {event.b_values[pos]}"
         for i in range(K):
-            if i != pos and (event.b_values[i], event.true_errors[i]) != (B[i], E[i]):
+            now = (event.b_values[i], event.true_errors[i], event.estimated[i])
+            if i != pos and now != (B[i], E[i], H[i]):
                 return f"event {j} changed arm {i}, which it did not choose"
-        T, B, E = grown, list(event.b_values), list(event.true_errors)
+        T, B, E, H = grown, list(event.b_values), list(event.true_errors), list(event.estimated)
         spent, last = event.t, pos
     if trace.ended_early and T != caps:
         return f"the run ended early at T = {tuple(T)}, below the caps {tuple(caps)}"
@@ -275,7 +272,7 @@ def _tiny_config(**overrides) -> ExperimentConfig:
             StrategySpec("malocate", p=math.inf),
             StrategySpec("uniform"),
         ),
-        schedule=Discretized(init_multiplier=8, num_batches=10, reuse_samples=True),
+        schedule=Discretized(init_multiplier=8, num_batches=10),
         estimator=EstimatorConfig(max_iters=80, tol=1e-4),
         confidence_scale=0.0625,
         reps=2,

@@ -2,9 +2,10 @@
 
 The fitted estimator is SoftImpute: alternate filling unobserved entries
 from the current iterate with soft-thresholding the singular values of
-the filled matrix. The threshold follows the square-root lasso
-regularization schedule, so its sqrt(ln d / (d T)) dependence on the
-dimension and the training size carries over.
+the filled matrix, from the estimate it is given (a refit starts from
+the arm's current one) or from zero. The threshold follows the
+square-root lasso regularization schedule, so its sqrt(ln d / (d T))
+dependence on the dimension and the training size carries over.
 
 That alternation is proximal gradient with step 1 on
 0.5 ||P_Omega(Y - Z)||^2 + theta ||Z||_* (Mazumder, Hastie & Tibshirani,
@@ -22,9 +23,9 @@ Each iteration thresholds exactly, through ``gram_svt``: only the right
 singular directions whose singular value exceeds the threshold survive
 it, so the step finds them from the eigendecomposition of the Gram
 matrix and takes singular values and left vectors from a thin SVD of
-the projection onto them. At d = 200 that is about half the time of a
-dense SVD (OpenBLAS, one thread). The dense ``svt`` is the reference it
-is tested against.
+the projection onto them. At d = 200 a step takes about 4.6 ms against
+7.6 ms for ``np.linalg.svd``, about 60% (OpenBLAS, one thread). The
+dense ``svt`` is the reference it is tested against.
 """
 from __future__ import annotations
 
@@ -52,16 +53,14 @@ class EstimatorConfig:
 
     ``lambda_scale`` multiplies the regularization schedule; ``tol`` is
     the relative Frobenius change below which iteration stops.
-    ``warm_start`` initializes from a previous estimate when one is
-    supplied. ``clip_output`` clamps the fit to [-A, A]. Whatever the
-    knobs, the fit asserts that no accepted step raises the objective
-    by more than rounding (1e-9 relative).
+    ``clip_output`` clamps the fit to [-A, A]. Whatever the knobs, the fit
+    asserts that no accepted step raises the objective by more than
+    rounding (1e-9 relative).
     """
 
     lambda_scale: float = 1.0
     max_iters: int = 300
     tol: float = 1e-5
-    warm_start: bool = True
     clip_output: bool = True
 
     def __post_init__(self):
@@ -161,7 +160,7 @@ def soft_impute_fit(
         Z_new <- svt(fill(Y), theta),  fill(Y) = targets on observed
                                                  entries, Y elsewhere
 
-    from the warm estimate (if enabled and given) or zero, with t = 1
+    from ``warm`` when one is given, else from zero, with t = 1
     and theta = d * lambda_for(d, |train|, A, C'). With t_k = 1 this is
     the plain SoftImpute step. If Z_new raises the objective by more
     than rounding (1e-13 relative) while t_k > 1, it is dropped and t_k
@@ -180,10 +179,7 @@ def soft_impute_fit(
     obs_rows, obs_cols, targets = _averaged_targets(train)
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
 
-    if cfg.warm_start and warm is not None:
-        z = warm.values.astype(np.float64, copy=True)
-    else:
-        z = np.zeros((d, d))
+    z = np.zeros((d, d)) if warm is None else warm.values.astype(np.float64, copy=True)
 
     # z_step = z - z_prev is the last accepted step; t is FISTA's
     # momentum counter, and t = 1 makes the next step a plain one.

@@ -268,10 +268,14 @@ def write_summary_csv(summary: list[dict], path: str) -> None:
 
 # --- config (de)serialization ------------------------------------------------
 # Both directions follow the dataclass fields and their type hints; an
-# infinite float is the string "inf". The format also carries two tags, one
-# value each: the schedule's "kind" and the top-level "split".
-_SCHEDULE_KIND = "discretized"
-_SPLIT = "by_multiplicity"
+# infinite float is the string "inf". The format also carries fixed tags, one
+# value each: (section, key, value, required), section None for the top level.
+_TAGS = (
+    (None, "split", "by_multiplicity", False),
+    ("schedule", "kind", "discretized", True),
+    ("schedule", "reuse_samples", True, False),
+    ("estimator", "warm_start", True, False),
+)
 
 
 def _to_json(value):
@@ -301,11 +305,15 @@ def _from_json(tp, raw, where: str):
         if missing:
             raise ValueError(f"missing keys in {where}: {missing}")
         hints = get_type_hints(tp)
-        return tp(**{k: _from_json(hints[k], v, f"{where}.{k}") for k, v in raw.items()})
+        values = {k: _from_json(hints[k], v, f"{where}.{k}") for k, v in raw.items()}
+        try:
+            return tp(**values)
+        except ValueError as exc:  # from the dataclass's own checks
+            raise ValueError(f"{where}: {exc}") from None
     if get_origin(tp) is tuple:
         if not isinstance(raw, list):
             raise ValueError(f"{where} must be a list, got {raw!r}")
-        return tuple(_from_json(get_args(tp)[0], v, where) for v in raw)
+        return tuple(_from_json(get_args(tp)[0], v, f"{where}[{i}]") for i, v in enumerate(raw))
     if tp is bool and not isinstance(raw, bool):
         raise ValueError(f"{where} must be true or false, got {raw!r}")
     # bool is a subclass of int, so int(True) and float(True) would pass.
@@ -321,21 +329,10 @@ def _from_json(tp, raw, where: str):
         raise ValueError(f"{where}: expected {tp.__name__}, got {raw!r}") from None
 
 
-def _untagged(raw: dict, key: str, tag: str, where: str, required: bool) -> dict:
-    """``raw`` without its format tag ``key``, which must read ``tag``."""
-    if required and key not in raw:
-        raise ValueError(f"missing keys in {where}: [{key!r}]")
-    rest = dict(raw)
-    value = rest.pop(key, tag)
-    if value != tag:
-        raise ValueError(f"{where}.{key} must be {tag!r}, got {value!r}")
-    return rest
-
-
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     raw = _to_json(cfg)
-    raw["schedule"] = {"kind": _SCHEDULE_KIND, **raw["schedule"]}
-    raw["split"] = _SPLIT
+    for section, key, tag, _ in _TAGS:
+        (raw if section is None else raw[section])[key] = tag
     return raw
 
 
@@ -343,15 +340,24 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a JSON-style mapping; unknown keys are rejected.
 
     A missing key takes the dataclass default, except that ``experiment``
-    defaults to "custom". A given schedule must carry its kind.
+    defaults to "custom". A tag may be left out, except that a given
+    schedule must carry its kind; a tag given must hold its one value.
     """
     if not isinstance(raw, dict):
         raise ValueError(f"config must be an object, got {raw!r}")
-    raw = _untagged({"experiment": "custom", **raw}, "split", _SPLIT, "config", required=False)
-    if isinstance(raw.get("schedule"), dict):
-        raw["schedule"] = _untagged(
-            raw["schedule"], "kind", _SCHEDULE_KIND, "config.schedule", required=True
-        )
+    # The sections are copied, since their tags are popped below.
+    raw = {"experiment": "custom", **raw}
+    raw |= {k: dict(v) for k, v in raw.items() if isinstance(v, dict)}
+    for section, key, tag, required in _TAGS:
+        part = raw if section is None else raw.get(section)
+        if not isinstance(part, dict):
+            continue  # absent, or rejected with its path below
+        where = "config" if section is None else f"config.{section}"
+        if required and key not in part:
+            raise ValueError(f"missing keys in {where}: [{key!r}]")
+        value = part.pop(key, tag)
+        if (type(value), value) != (type(tag), tag):  # type too: JSON's 1 equals True
+            raise ValueError(f"{where}.{key} must be {tag!r}, got {value!r}")
     return _from_json(ExperimentConfig, raw, "config")
 
 

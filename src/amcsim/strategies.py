@@ -7,10 +7,11 @@ adaptive rule that samples the matrix with the largest band-per-sample
 criterion, a round-robin baseline, and an oracle: the adaptive rule on
 true errors. They differ only in the score they give ``_pick``, the one
 rule that names the next matrix. Each step requests a batch of fresh
-observations for that matrix, refits, re-estimates the error band, and
-accepts the new estimate unless its band is worse than the current one.
-An equal band, inf included, is accepted, so an arm's first refit is
-kept even when its eval part has no pairs.
+observations for that matrix, refits on all of its observations so
+far, re-estimates the error band, and accepts the new estimate unless
+its band is worse than the current one. An equal band, inf included,
+is accepted, so an arm's first refit is kept even when its eval part
+has no pairs.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -54,14 +55,12 @@ class Discretized:
     Every batch, the initialization included, is clamped to the chosen
     matrix's remaining d^2 capacity, so a batch can fall short of the
     sub-batch size; once every matrix is capped the run stops and sets
-    ``RunTrace.ended_early``. With ``reuse_samples`` the estimator refits
-    on all data accumulated for the chosen matrix instead of the fresh
-    batch alone.
+    ``RunTrace.ended_early``. A batch joins every earlier observation of
+    its matrix, and the refit uses them all.
     """
 
     init_multiplier: int = 8
     num_batches: int = 100
-    reuse_samples: bool = True
 
     def __post_init__(self):
         if self.init_multiplier < 1:
@@ -187,8 +186,8 @@ class ExperimentConfig:
 class ArmState:
     """Per-matrix bookkeeping: samples spent, band, current estimate.
 
-    ``data`` is what the next refit splits: every observation of the
-    arm when the schedule reuses samples, else its latest batch.
+    ``data`` is every observation of the arm so far, which each refit
+    splits.
     ``sq_err`` is the squared Frobenius error of ``current`` against the
     truth, the zero matrix standing in for a missing estimate. It is set
     here and again by ``_refit`` whenever ``current`` changes.
@@ -225,7 +224,8 @@ class ArmState:
 
 @dataclass(frozen=True)
 class TraceEvent:
-    """Snapshot taken after one batch-and-refit step."""
+    """Snapshot taken after one batch-and-refit step. ``estimated`` says which
+    arms hold an estimate, which an infinite band does not tell."""
 
     t: int
     chosen: int
@@ -233,6 +233,7 @@ class TraceEvent:
     b_values: tuple[float, ...]
     t_values: tuple[int, ...]
     true_errors: tuple[float, ...]
+    estimated: tuple[bool, ...]
     loss_p1: float
     loss_pinf: float
 
@@ -347,10 +348,9 @@ def _run(
         state = states[pos]
         t_k = state.samples_spent
         batch = min(sub_batch if t_k else init[pos], budget - spent, state.cap - t_k)
-        fresh = new_samples(state.truth, cfg.sigma, batch, streams[pos])
+        state.data = state.data.extend(new_samples(state.truth, cfg.sigma, batch, streams[pos]))
         state.samples_spent += batch
         spent += batch
-        state.data = state.data.extend(fresh) if schedule.reuse_samples else fresh
         _refit(state, cfg)
         errors = [s.sq_err for s in states]
         trace.events.append(
@@ -361,6 +361,7 @@ def _run(
                 b_values=tuple(s.band for s in states),
                 t_values=tuple(s.samples_spent for s in states),
                 true_errors=tuple(e / s.cap for e, s in zip(errors, states)),
+                estimated=tuple(s.current is not None for s in states),
                 loss_p1=loss_from_errors(errors, 1, weights),
                 loss_pinf=loss_from_errors(errors, math.inf, weights),
             )

@@ -71,8 +71,11 @@ def test_run_with_overrides(tmp_path):
     ({"budget": 64, "reps": 2.5}, "config.reps must be an integer, got 2.5"),
     ({"experiment": None}, "config.experiment must be a string, got None"),
     ({"budget": 64, "reps": True}, "config.reps must be a number, got True"),
+    ({"schedule": {"kind": "discretized", "reuse_samples": False}},
+     "config.schedule.reuse_samples must be True, got False"),
+    ({"estimator": {"warm_start": False}}, "config.estimator.warm_start must be True, got False"),
 ], ids=["unknown_key", "malformed_scalar", "fractional_int", "non_string_experiment",
-        "bool_number"])
+        "bool_number", "fresh_batches", "cold_refits"])
 def test_run_rejects_bad_config(tmp_path, capsys, config, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": [8], "ranks": [2], **config}))
@@ -136,7 +139,7 @@ def test_run_rejects_duplicate_strategy_label(tmp_path, capsys):
     out = tmp_path / "o"
     code = main(["run", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert "amcsim: error: duplicate strategy" in capsys.readouterr().err
+    assert "amcsim: error: config: duplicate strategy" in capsys.readouterr().err
     assert not (out / "metrics.csv").exists()
 
 

@@ -321,14 +321,13 @@ class TestSoftImpute:
         spec = MatrixSpec(index=1, dim=15, rank_bound=2)
         gt = generate_ground_truth(spec, 13)
         data = new_samples(gt, 0.0, 300, named_stream(6))
-        one_step = EstimatorConfig(max_iters=1, tol=1e-15, warm_start=True)
+        one_step = EstimatorConfig(max_iters=1, tol=1e-15)
         cold = soft_impute_fit(data, spec, one_step)
         warmed = soft_impute_fit(data, spec, one_step, warm=cold)
         assert not np.array_equal(cold.values, warmed.values)
-        ignored = soft_impute_fit(
-            data, spec, EstimatorConfig(max_iters=1, tol=1e-15, warm_start=False), warm=cold
-        )
-        assert np.array_equal(cold.values, ignored.values)
+        # No estimate is the zero estimate.
+        zero = MatrixEstimate(spec.index, np.zeros((15, 15)))
+        assert np.array_equal(cold.values, soft_impute_fit(data, spec, one_step, warm=zero).values)
 
     def test_surrogate_objective_monotone_in_debug(self):
         spec = MatrixSpec(index=1, dim=30, rank_bound=3)

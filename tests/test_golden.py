@@ -1,12 +1,11 @@
 """Golden gate: tiny pinned configs must reproduce their stored
 metrics.csv (``<name>.csv``) and summary.csv (``<name>.summary.csv``).
 
-Together the configs cover sample reuse on and off, every strategy, loss
-weights, and arms that hit their d^2 cap (in the initialization and
-later). Text and integer columns must match exactly and float columns
-to a relative 1e-9, inf matching inf. Every job's trace
-must also obey the run loop's laws (``trace_violation``), weighted
-selection included.
+Together the configs cover every strategy, loss weights, and arms that
+hit their d^2 cap (in the initialization and later). Text and integer
+columns must match exactly and float columns to a relative 1e-9, inf
+matching inf. Every job's trace must also obey the run loop's laws
+(``trace_violation``), weighted selection included.
 
 Regenerate the stored files (only when a change of numerics is
 intended) with:
@@ -61,17 +60,13 @@ def _config(name, **overrides):
 CONFIGS = {
     "discretized_reuse_by_mult": _config(
         "discretized_reuse_by_mult", dims=(9, 12), ranks=(2, 3),
-        schedule=Discretized(4, 6, reuse_samples=True), budget=112,
-    ),
-    "discretized_fresh_by_mult": _config(
-        "discretized_fresh_by_mult", dims=(10, 10), ranks=(2, 3),
-        schedule=Discretized(4, 5, reuse_samples=False), budget=130, seed=7,
+        schedule=Discretized(4, 6), budget=112,
     ),
     # d = 6 arms: init 8 * 6 = 48 is clamped to the cap 36, then every
     # arm is capped and the run ends early.
     "discretized_capped_init": _config(
         "discretized_capped_init", dims=(6, 6), ranks=(1, 2),
-        schedule=Discretized(8, 4, reuse_samples=True), budget=100, reps=1,
+        schedule=Discretized(8, 4), budget=100, reps=1,
     ),
 }
 

@@ -5,6 +5,7 @@ import math
 import re
 from collections import namedtuple
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def tiny_config(**overrides):
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def tiny_raw(path, value):
+    """The dict of ``tiny_config()`` with ``value`` at ``path``, a tuple of keys."""
+    raw = config_to_dict(tiny_config())
+    *parents, key = path
+    reduce(dict.__getitem__, parents, raw)[key] = value
+    return raw
 
 
 MetricsRow = namedtuple("MetricsRow", METRICS_HEADER)
@@ -129,13 +138,12 @@ def valid_configs(draw):
     strategy = st.builds(
         StrategySpec, st.sampled_from(["malocate", "oracle"]), p=p, weights=weights
     ) | st.builds(StrategySpec, st.sampled_from(["uniform", "oracle"]), weights=weights)
-    schedule = st.builds(Discretized, st.integers(1, 20), st.integers(1, 500), st.booleans())
+    schedule = st.builds(Discretized, st.integers(1, 20), st.integers(1, 500))
     estimator = st.builds(
         EstimatorConfig,
         lambda_scale=st.floats(0.0, 1e3),
         max_iters=st.integers(1, 10_000),
         tol=positive,
-        warm_start=st.booleans(),
         clip_output=st.booleans(),
     )
     return ExperimentConfig(
@@ -181,7 +189,7 @@ class TestPresets:
         assert cfg.budget == 200000
         assert cfg.reps == 15
         assert cfg.sigma == 0.1
-        assert cfg.schedule == Discretized(8, 100, True)
+        assert cfg.schedule == Discretized(8, 100)
         kinds = {(s.kind, s.p) for s in cfg.strategies}
         assert ("malocate", 1.0) in kinds and ("malocate", math.inf) in kinds
         assert ("uniform", None) in kinds and ("oracle", None) in kinds
@@ -195,7 +203,7 @@ class TestPresets:
         assert cfg.budget == 15 * 200 * 200 // 2
 
     def test_scaled_keeps_other_fields(self):
-        cfg = tiny_config(estimator=EstimatorConfig(warm_start=False))
+        cfg = tiny_config(estimator=EstimatorConfig(clip_output=False))
         small = scaled(cfg, 2.0)
         assert small.dims == (8, 10) and small.budget == 82
         assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
@@ -338,16 +346,12 @@ class TestConfigSerialization:
             assert config_from_dict(config_to_dict(cfg)) == cfg
 
     def test_unknown_keys_rejected(self):
-        raw = config_to_dict(tiny_config())
-        raw["unexpected"] = 1
         with pytest.raises(ValueError, match="unknown keys"):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw(("unexpected",), 1))
 
     def test_unknown_nested_keys_rejected(self):
-        raw = config_to_dict(tiny_config())
-        raw["estimator"]["mystery"] = True
         with pytest.raises(ValueError, match="unknown keys"):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw(("estimator", "mystery"), True))
 
     def test_inf_p_serializes(self):
         raw = config_to_dict(tiny_config())
@@ -374,6 +378,19 @@ class TestConfigSerialization:
         raw = json.loads('{"dims": [8], "ranks": [2], "estimator": {"debug": true}}')
         with pytest.raises(ValueError, match="unknown keys"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "path,tag",
+        [(("split",), "by_multiplicity"), (("schedule", "reuse_samples"), True),
+         (("estimator", "warm_start"), True)],
+    )
+    def test_format_tags(self, path, tag):
+        # Each is written with its one value and may be left out; the
+        # schedule's kind, which may not, is in the tables below.
+        raw = config_to_dict(tiny_config())
+        *parents, key = path
+        assert reduce(dict.__getitem__, parents, raw).pop(key) == tag
+        assert config_from_dict(raw) == tiny_config()
 
     def test_missing_keys_take_defaults(self):
         cfg = config_from_dict({"dims": [8, 10], "ranks": [1, 2]})
@@ -406,10 +423,8 @@ class TestConfigSerialization:
         ],
     )
     def test_malformed_values_rejected(self, key, value):
-        raw = config_to_dict(tiny_config())
-        raw[key] = value
         with pytest.raises(ValueError):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw((key,), value))
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -422,24 +437,34 @@ class TestConfigSerialization:
             ("reps", [1], "config.reps: expected int, got [1]"),
             ("estimator", 3, "config.estimator must be an object, got 3"),
             ("strategies", [{"kind": "malocate", "p": "abc"}],
-             "config.strategies.p: expected float, got 'abc'"),
-            ("strategies", [{"kind": "malocate", "p": math.nan}], "p must be >= 1, got nan"),
-            ("strategies", [{"p": 1.0}], "missing keys in config.strategies: ['kind']"),
+             "config.strategies[0].p: expected float, got 'abc'"),
+            ("strategies", [{"kind": "malocate", "p": math.nan}],
+             "config.strategies[0]: p must be >= 1, got nan"),
+            ("strategies", [{"p": 1.0}], "missing keys in config.strategies[0]: ['kind']"),
+            # The format tags, each with its one value.
             ("schedule", {"kind": "discretized", "reuse_samples": "yes"},
-             "config.schedule.reuse_samples must be true or false, got 'yes'"),
-            # The format tags: a schedule names its one kind, and the split
-            # is the one split.
+             "config.schedule.reuse_samples must be True, got 'yes'"),
             ("schedule", {"kind": "bogus"},
              "config.schedule.kind must be 'discretized', got 'bogus'"),
             ("schedule", {"num_batches": 8}, "missing keys in config.schedule: ['kind']"),
             ("split", "halves", "config.split must be 'by_multiplicity', got 'halves'"),
+            ("schedule", {"kind": "discretized", "reuse_samples": False},
+             "config.schedule.reuse_samples must be True, got False"),
+            ("estimator", {"warm_start": False},
+             "config.estimator.warm_start must be True, got False"),
+            ("estimator", {"warm_start": 1}, "config.estimator.warm_start must be True, got 1"),
+            # A list element is named by its index, and a dataclass's own
+            # check by the dataclass's path.
+            ("strategies", [{"kind": "uniform"}, {"kind": "malocate", "p": "abc"}],
+             "config.strategies[1].p: expected float, got 'abc'"),
+            ("dims", [16, "x"], "config.dims[1]: expected int, got 'x'"),
+            ("estimator", {"tol": math.nan}, "config.estimator: tol must be positive and finite"),
+            ("sigma", -1.0, "config: sigma must be nonnegative and finite"),
         ],
     )
     def test_malformed_value_names_its_field(self, key, value, message):
-        raw = config_to_dict(tiny_config())
-        raw[key] = value
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw((key,), value))
 
     @pytest.mark.parametrize(
         "path,value",
@@ -453,14 +478,8 @@ class TestConfigSerialization:
         ],
     )
     def test_fractional_int_rejected(self, path, value):
-        raw = config_to_dict(tiny_config())
-        *parents, key = path
-        target = raw
-        for name in parents:
-            target = target[name]
-        target[key] = value
         with pytest.raises(ValueError, match="must be an integer"):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw(path, value))
 
     @pytest.mark.parametrize(
         "path,value",
@@ -475,14 +494,8 @@ class TestConfigSerialization:
         ],
     )
     def test_bool_number_rejected(self, path, value):
-        raw = config_to_dict(tiny_config())
-        *parents, key = path
-        target = raw
-        for name in parents:
-            target = target[name]
-        target[key] = value
         with pytest.raises(ValueError, match="must be a number"):
-            config_from_dict(raw)
+            config_from_dict(tiny_raw(path, value))
 
     @pytest.mark.parametrize(
         "weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1], ["inf", 1]]
@@ -513,16 +526,11 @@ class TestConfigSerialization:
     def test_non_finite_settings_rejected_at_load(self, path, value):
         # NaN passes a plain `x <= 0` check, and a NaN or inf setting makes
         # a run go wrong or fail mid-run, so each must fail at load.
-        raw = config_to_dict(tiny_config())
         *parents, key = path
-        target = raw
-        for name in parents:
-            target = target[name]
-        target[key] = value
-        with pytest.raises(ValueError, match=f"{key} must be"):
-            config_from_dict(raw)
-        target[key] = 0.0 if key in ("sigma", "lambda_scale") else 1.0
-        config_from_dict(raw)
+        where = ".".join(("config", *parents))
+        with pytest.raises(ValueError, match=f"^{where}: {key} must be"):
+            config_from_dict(tiny_raw(path, value))
+        config_from_dict(tiny_raw(path, 0.0 if key in ("sigma", "lambda_scale") else 1.0))
 
     def test_duplicate_strategy_label_rejected_at_load(self):
         # metrics.csv and summary.csv label a strategy by (kind, p) alone,

@@ -199,13 +199,13 @@ class TestDiscretizedRuns:
                     assert event.b_values[pos] < b or math.isinf(b)
 
     def test_noiseless_generous_budget_recovers(self):
-        # budget n = sum(d^2) with sample reuse puts every arm in the
-        # exact-recovery regime once the iteration is allowed to converge
+        # budget n = sum(d^2) puts every arm in the exact-recovery regime
+        # once the iteration is allowed to converge
         truths = make_problem([30, 30], [2, 2], seed=9)
         n = 2 * 30 * 30
         cfg = run_config(
             truths, sigma=0.0, budget=n,
-            schedule=Discretized(8, 20, reuse_samples=True),
+            schedule=Discretized(8, 20),
             estimator=EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9),
             confidence_scale=0.0625,
         )
@@ -242,14 +242,9 @@ class TestInitClampedToCap:
 
 
 class TestRefitData:
-    @pytest.mark.parametrize(
-        "schedule",
-        [Discretized(8, 10), Discretized(8, 10, reuse_samples=False)],
-        ids=["reused", "latest"],
-    )
+    @pytest.mark.parametrize("schedule", [Discretized(8, 10)], ids=["reused"])
     def test_reused_or_latest_batch(self, schedule, monkeypatch):
-        # Each step refits once, on every observation of the chosen arm
-        # when the schedule reuses samples, else on the step's batch.
+        # Each step refits once, on every observation of the chosen arm.
         split, lengths = strategies.split_dataset, []
 
         def recording_split(data):
@@ -262,10 +257,7 @@ class TestRefitData:
         _, trace = malocate_run(truths, cfg, P1, rng=14)
         assert len(lengths) == len(trace.events) > 3
         for n, event in zip(lengths, trace.events):
-            if schedule.reuse_samples:
-                assert n == event.t_values[event.chosen - 1]
-            else:
-                assert n == event.batch
+            assert n == event.t_values[event.chosen - 1]
 
 
 class TestOracleRun:
@@ -358,7 +350,7 @@ def loop_instances(draw, max_dim=30):
     dims = draw(st.lists(st.integers(3, max_dim), min_size=K, max_size=K))
     ranks = draw(st.lists(st.integers(1, 2), min_size=K, max_size=K))
     truths = make_problem(dims, ranks, seed=draw(st.integers(0, 2**16)))
-    schedule = draw(st.builds(Discretized, st.integers(1, 4), st.integers(1, 6), st.booleans()))
+    schedule = draw(st.builds(Discretized, st.integers(1, 4), st.integers(1, 6)))
     cover = sum(min(schedule.init_multiplier * d, d * d) for d in dims)
     cfg = run_config(
         truths,
