@@ -24,7 +24,7 @@ import numpy as np
 
 from .estimators import (
     EstimatorConfig,
-    gram_svt,
+    _svt_step,
     plain_soft_impute,
     soft_impute_fit,
     svt,
@@ -160,14 +160,15 @@ def loss_order_violation(errors) -> str | None:
 
 
 def svt_violation(m: np.ndarray, theta: float) -> str | None:
-    """The fit's Gram-eigh step matches the dense SVT within 1e-10 of max(1, sigma_1),
-    and its shrunk singular values sum to the nuclear norm within d times that."""
+    """The step the fit takes at m's size (dense SVD or Gram eigh) matches the
+    dense SVT within 1e-10 of max(1, sigma_1), and its shrunk singular values
+    sum to the nuclear norm within d times that."""
     sigma = np.linalg.svd(m, compute_uv=False)
     tol = 1e-10 * max(1.0, float(sigma[0]))
-    out, shrunk = gram_svt(m, theta)
+    out, shrunk = _svt_step(m, theta)
     err = float(np.max(np.abs(out - svt(m, theta))))
     if err > tol:
-        return f"the Gram-eigh step differs from the dense SVT by {err:.3g}"
+        return f"the fit's SVT step differs from the dense SVT by {err:.3g}"
     nuclear = float(np.maximum(sigma - theta, 0.0).sum())
     if abs(float(shrunk.sum()) - nuclear) > m.shape[0] * tol:
         return f"the shrunk singular values sum to {shrunk.sum():.12g}, not {nuclear:.12g}"

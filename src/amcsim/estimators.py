@@ -19,13 +19,17 @@ therefore never raise the objective beyond rounding, and the fixed
 point is the plain iteration's. ``plain_soft_impute`` keeps the
 unaccelerated loop as the reference the fit is tested against.
 
-Each iteration thresholds exactly, through ``gram_svt``: only the right
-singular directions whose singular value exceeds the threshold survive
-it, so the step finds them from the eigendecomposition of the Gram
-matrix and takes singular values and left vectors from a thin SVD of
-the projection onto them. At d = 200 a step takes about 4.6 ms against
-7.6 ms for ``np.linalg.svd``, about 60% (OpenBLAS, one thread). The
-dense ``svt`` is the reference it is tested against.
+Each iteration thresholds exactly, by one of two routes chosen by the
+size d of the matrix. Up to ``_DENSE_MAX_DIM`` (16) it is the dense SVD,
+the ``svt`` math. Above it, it is ``gram_svt``: only the right singular
+directions whose singular value exceeds the threshold survive it, so
+the step finds them from the eigendecomposition of the Gram matrix and
+takes singular values and left vectors from a thin SVD of the
+projection onto them. At d = 200 a Gram step takes about 4.6 ms against
+7.6 ms for ``np.linalg.svd``, about 60% (OpenBLAS, one thread); at small
+d the eigh's fixed cost makes it the slower one. Either route makes one
+``np.linalg.svd`` call per step. The dense ``svt`` is the reference
+both are tested against.
 """
 from __future__ import annotations
 
@@ -112,9 +116,29 @@ def svt(m: np.ndarray, theta: float) -> np.ndarray:
     """
     if theta < 0:
         raise ValueError("theta must be nonnegative")
+    return _dense_svt(m, theta)[0]
+
+
+def _dense_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``svt(m, theta)`` and the shrunk singular values, from one dense SVD."""
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     shrunk = np.maximum(s - theta, 0.0)
-    return (u * shrunk) @ vt
+    return (u * shrunk) @ vt, shrunk
+
+
+# Largest d at which the fit's step is the dense SVD rather than gram_svt.
+# Timed per step on a fit's own inputs at one BLAS thread, the dense SVD
+# is the faster up to d = 16 (1.2-1.3x at d = 10-12) and the Gram route
+# from d = 18 on (about 1.2x at d = 20-32 and rank 1, within 5% at rank d/4).
+_DENSE_MAX_DIM = 16
+
+
+def _svt_step(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The exact SVT step of the fit on the d x d ``m``: ``_dense_svt`` up to
+    ``_DENSE_MAX_DIM``, ``gram_svt`` above it. Returns what both return."""
+    if m.shape[0] <= _DENSE_MAX_DIM:
+        return _dense_svt(m, theta)
+    return gram_svt(m, theta)
 
 
 def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -135,13 +159,25 @@ def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * shrunk) @ (v @ wt.T).T, shrunk
 
 
-def _averaged_targets(train: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse duplicate observations of an entry into their mean, in row-major order."""
+def _averaged_targets(train: Dataset, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The observed entries of a d x d matrix as flat row-major indices, in
+    increasing order, and the mean of each entry's observations."""
+    obs = train.rows * d + train.cols
+    if (obs[1:] > obs[:-1]).all():
+        # Each entry once and in order, as in a split's train part. 0.0 + v
+        # is the one-look mean bit for bit, -0.0 included, as below.
+        return obs, train.values + 0.0
     order, counts = train.by_entry()
     first = order[np.cumsum(counts) - counts]
-    # bincount adds up each entry's values in arrival order.
+    # bincount adds up each entry's values in arrival order, from 0.0.
     sums = np.bincount(np.repeat(np.arange(len(counts)), counts), weights=train.values[order])
-    return train.rows[first], train.cols[first], sums / counts
+    return obs[first], sums / counts
+
+
+def _frobenius(x: np.ndarray) -> float:
+    """``np.linalg.norm(x)``, bit for bit, without its dispatch."""
+    flat = x.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
 
 
 def soft_impute_fit(
@@ -167,19 +203,21 @@ def soft_impute_fit(
     is reset to 1. Any other step is accepted, and a step that raises
     the objective at all restarts the momentum (t_{k+1} = 1); a plain
     step that raises it by more than 1e-9 relative raises
-    ``AssertionError``. Each step, dropped or not,
-    is the exact ``gram_svt``, which makes one thin ``np.linalg.svd``
-    call, so the SVD count is the iteration count. Stops when an accepted step's
+    ``AssertionError``. Each step, dropped or not, is the exact SVT,
+    by the dense SVD up to d = ``_DENSE_MAX_DIM`` and by ``gram_svt``
+    above it; either makes one ``np.linalg.svd`` call, so the SVD count
+    is the iteration count. Stops when an accepted step's
     relative Frobenius change is below ``cfg.tol`` (``converged``) or
     after ``cfg.max_iters`` steps.
     """
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
     d = spec.dim
-    obs_rows, obs_cols, targets = _averaged_targets(train)
+    obs, targets = _averaged_targets(train, d)  # flat indices into C-ordered d x d arrays
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
 
     z = np.zeros((d, d)) if warm is None else warm.values.astype(np.float64, copy=True)
+    z_norm = _frobenius(z)
 
     # z_step = z - z_prev is the last accepted step; t is FISTA's
     # momentum counter, and t = 1 makes the next step a plain one.
@@ -190,9 +228,9 @@ def soft_impute_fit(
     for iterations in range(1, cfg.max_iters + 1):
         t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         filled = z + ((t - 1.0) / t_next) * z_step if t > 1.0 else z.copy()
-        filled[obs_rows, obs_cols] = targets
-        z_new, shrunk = gram_svt(filled, theta)
-        resid = targets - z_new[obs_rows, obs_cols]
+        filled.put(obs, targets)
+        z_new, shrunk = _svt_step(filled, theta)
+        resid = targets - z_new.take(obs)
         new_objective = 0.5 * float(resid @ resid) + theta * float(shrunk.sum())
         if new_objective > objective:
             # Near the fixed point the objective is flat to rounding, and
@@ -209,11 +247,12 @@ def soft_impute_fit(
                     f"{objective} -> {new_objective}"
                 )
         z_step = z_new - z
-        delta = np.linalg.norm(z_step) / max(np.linalg.norm(z), 1.0)
+        delta = _frobenius(z_step) / max(z_norm, 1.0)
         z, objective, t = z_new, new_objective, t_next
         if delta < cfg.tol:
             converged = True
             break
+        z_norm = _frobenius(z)
 
     if cfg.clip_output:
         np.clip(z, -spec.bound, spec.bound, out=z)
@@ -230,12 +269,12 @@ def plain_soft_impute(
     Returns the last iterate and the number of steps taken.
     """
     d = spec.dim
-    obs_rows, obs_cols, targets = _averaged_targets(train)
+    obs, targets = _averaged_targets(train, d)
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
     z = np.zeros((d, d))
     for steps in range(1, cfg.max_iters + 1):
         filled = z.copy()
-        filled[obs_rows, obs_cols] = targets
+        filled.put(obs, targets)
         z_new = svt(filled, theta)
         delta = np.linalg.norm(z_new - z) / max(np.linalg.norm(z), 1.0)
         z = z_new

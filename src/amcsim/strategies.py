@@ -286,10 +286,10 @@ def select_index(states: list[ArmState], p: float, weights=None, bands=None) -> 
 def loss_from_errors(errors, p: float, weights=None) -> float:
     """Weighted p-loss of per-matrix squared errors; ``weights`` default to one."""
     e = np.asarray(errors, dtype=np.float64)
-    w = np.ones_like(e) if weights is None else np.asarray(weights)
     if math.isinf(p):
-        return float(np.max(w * e))
-    return float(np.sum(w * e**p) ** (1.0 / p))
+        return float(np.max(e if weights is None else np.asarray(weights) * e))
+    ep = e**p
+    return float(np.sum(ep if weights is None else np.asarray(weights) * ep) ** (1.0 / p))
 
 
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
@@ -336,6 +336,13 @@ def _run(
     if budget < sum(init):
         raise ValueError(f"budget {budget} cannot cover initialization ({sum(init)})")
     sub_batch = math.ceil((budget - sum(init)) / schedule.num_batches)
+    # The trace's per-arm columns. A step changes the chosen arm's state
+    # only, so only its entries are rewritten.
+    errors = [s.sq_err for s in states]
+    t_values = [s.samples_spent for s in states]
+    b_values = [s.band for s in states]
+    true_errors = [e / s.cap for e, s in zip(errors, states)]
+    estimated = [False] * K
     spent = 0
     init_order = iter(range(K))
     while spent < budget:
@@ -352,16 +359,20 @@ def _run(
         state.samples_spent += batch
         spent += batch
         _refit(state, cfg)
-        errors = [s.sq_err for s in states]
+        errors[pos] = state.sq_err
+        t_values[pos] = state.samples_spent
+        b_values[pos] = state.band
+        true_errors[pos] = state.sq_err / state.cap
+        estimated[pos] = state.current is not None
         trace.events.append(
             TraceEvent(
                 t=spent,
                 chosen=state.truth.spec.index,
                 batch=batch,
-                b_values=tuple(s.band for s in states),
-                t_values=tuple(s.samples_spent for s in states),
-                true_errors=tuple(e / s.cap for e, s in zip(errors, states)),
-                estimated=tuple(s.current is not None for s in states),
+                b_values=tuple(b_values),
+                t_values=tuple(t_values),
+                true_errors=tuple(true_errors),
+                estimated=tuple(estimated),
                 loss_p1=loss_from_errors(errors, 1, weights),
                 loss_pinf=loss_from_errors(errors, math.inf, weights),
             )

@@ -138,15 +138,17 @@ class TestGroupingByEntry:
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
     def test_averaged_targets(self, data):
-        values = data.values.tolist()
-        expected = []
-        for (i, j), ps in positions_by_entry(data).items():
-            total = 0.0
-            for p in ps:
-                total += values[p]
-            expected.append((i, j, total / len(ps)))
-        got = _averaged_targets(data)
-        assert list(zip(*(a.tolist() for a in got))) == expected
+        # The train part of a split holds each entry once, in order.
+        for part in (data, split_dataset(data)[0]):
+            values = part.values.tolist()
+            expected = []
+            for (i, j), ps in positions_by_entry(part).items():
+                total = 0.0
+                for p in ps:
+                    total += values[p]
+                expected.append((i * 8 + j, total / len(ps)))
+            got = _averaged_targets(part, 8)  # d = 8 bounds every drawn index
+            assert list(zip(*(a.tolist() for a in got))) == expected
 
 
 def r_n(est, entries):

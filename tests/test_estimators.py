@@ -340,7 +340,7 @@ class TestSoftImpute:
         # Every step after the first lands far from the data, so the
         # momentum step is dropped and the plain step after it still rises.
         spec, _, data = sampled(20, 200, 2)
-        exact = estimators.gram_svt
+        exact = estimators._svt_step
         calls = []
 
         def rising(m, theta):
@@ -348,7 +348,7 @@ class TestSoftImpute:
             calls.append(theta)
             return (z if len(calls) == 1 else z + 1e3), shrunk
 
-        monkeypatch.setattr(estimators, "gram_svt", rising)
+        monkeypatch.setattr(estimators, "_svt_step", rising)
         with pytest.raises(AssertionError, match="objective increased at iteration 3"):
             soft_impute_fit(data, spec, EstimatorConfig())
 

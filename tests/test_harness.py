@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -95,6 +96,33 @@ def csv_writer_bytes(result):
         p = "" if p is None else f"{p:.17g}"
         writer.writerow([exp, kind, p, rep, seed, t, k, T_k, *(f"{x:.17g}" for x in floats)])
     return buf.getvalue().replace("\r\n", "\n").encode()
+
+
+def edited_arm_fields(result, edit):
+    """``result`` with the per-arm fields of each job's events rewritten.
+
+    "repeated_fields": event n carries the T_k, B_k and true_err_k of
+    event n // 3, so each triple of events repeats them and they change on
+    events that chose another arm. "signed_zero": arm 1's B_k and
+    true_err_k flip between 0.0 and -0.0 from event to event.
+    """
+    jobs = []
+    for rep, strategy, trace in result.jobs:
+        events = trace.events
+        if edit == "repeated_fields":
+            events = [
+                replace(event, t_values=events[n // 3].t_values,
+                        b_values=events[n // 3].b_values, true_errors=events[n // 3].true_errors)
+                for n, event in enumerate(events)
+            ]
+        else:
+            events = [
+                replace(event, b_values=(zero, *event.b_values[1:]),
+                        true_errors=(-zero, *event.true_errors[1:]))
+                for event, zero in zip(events, itertools.cycle([0.0, -0.0]))
+            ]
+        jobs.append((rep, strategy, replace(trace, events=events)))
+    return replace(result, jobs=tuple(jobs))
 
 
 def loop_aggregate(result):
@@ -272,10 +300,23 @@ class TestMetricsCsv:
         assert len(trace_rows(one_rep_result)) == len(one_rep_result)
 
     # Text columns need csv quoting, a bare '\r' too since readers end a row
-    # there; a '%' must survive the row format.
-    @pytest.mark.parametrize("name", ["tiny", 'a,"b"', "100%d %s", "two\nlines", "a\rb", " ", ""])
-    def test_bytes_match_csv_writer(self, tmp_path, one_rep_result, name):
+    # there; a '%' must survive the row format. An arm's fragment is
+    # formatted once per change: fields that repeat across events, change
+    # on events that chose another arm, or flip between 0.0 and -0.0
+    # (equal, printed apart) must print as csv.writer prints them.
+    @pytest.mark.parametrize(
+        "name, edit",
+        [pytest.param(name, None, id=name)
+         for name in ["tiny", 'a,"b"', "100%d %s", "two\nlines", "a\rb", " ", ""]]
+        + [
+            pytest.param("tiny", "repeated_fields", id="repeated_fields"),
+            pytest.param("tiny", "signed_zero", id="signed_zero"),
+        ],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, one_rep_result, name, edit):
         result = replace(one_rep_result, cfg=replace(one_rep_result.cfg, experiment=name))
+        if edit is not None:
+            result = edited_arm_fields(result, edit)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(result, str(path))
         assert path.read_bytes() == csv_writer_bytes(result)

@@ -4,6 +4,8 @@ The tracer wraps the package's layer boundaries by name from outside
 the package and reads the run's result and traces. A traced in-process
 run must patch the same 14 names, count every metrics.csv row, see
 the refits, time every strategy's selection and see accepted bands.
+It counts a fit's iterations as its ``np.linalg.svd`` calls, so each
+step of a fit, on either SVT route, must make exactly one.
 """
 import importlib.util
 import json
@@ -14,9 +16,21 @@ import numpy
 import pytest
 
 import amcsim.cli as cli
+import amcsim.estimators as estimators
 import amcsim.harness as harness
 import amcsim.strategies as strategies
-from amcsim import Discretized, EstimatorConfig, ExperimentConfig, StrategySpec, config_to_dict
+from amcsim import (
+    Discretized,
+    EstimatorConfig,
+    ExperimentConfig,
+    MatrixSpec,
+    StrategySpec,
+    config_to_dict,
+    generate_ground_truth,
+    named_stream,
+    new_samples,
+    soft_impute_fit,
+)
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -88,3 +102,35 @@ def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
     assert metrics["error_bounds.split_s"] > 0
     assert metrics["error_bounds.pairs_per_band"] > 0
     assert metrics["estimators.fit_calls"] == metrics["strategies.refits"]
+
+
+# One d on each side of the size at which the fit's SVT step switches
+# from the dense SVD to the Gram route.
+@pytest.mark.parametrize("d", [estimators._DENSE_MAX_DIM, estimators._DENSE_MAX_DIM + 1])
+def test_svd_calls_are_fit_iterations(monkeypatch, d):
+    # The tracer reads a fit's iterations as its np.linalg.svd calls, so
+    # every step makes exactly one, a dropped momentum step included. The
+    # second step, the first with momentum, is pushed far from the data
+    # here, so the fit drops it.
+    spec = MatrixSpec(index=1, dim=d, rank_bound=2)
+    data = new_samples(generate_ground_truth(spec, 5), 0.1, d * d // 2, named_stream(5, d))
+    svd, step = numpy.linalg.svd, estimators._svt_step
+    svd_calls, steps = [], []
+
+    def counted_svd(*args, **kwargs):
+        svd_calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    def pushed_step(m, theta):
+        z, shrunk = step(m, theta)
+        steps.append(theta)
+        return (z + 1e3 if len(steps) == 2 else z), shrunk
+
+    monkeypatch.setattr(numpy.linalg, "svd", counted_svd)
+    monkeypatch.setattr(estimators, "_svt_step", pushed_step)
+    est = soft_impute_fit(data, spec, EstimatorConfig())
+    assert est.converged and est.iterations > 2
+    assert len(svd_calls) == len(steps) == est.iterations
+    # The dense route decomposes m itself, the Gram route m times the kept directions.
+    dense = d <= estimators._DENSE_MAX_DIM
+    assert all((shape == (d, d)) == dense for shape in svd_calls)
