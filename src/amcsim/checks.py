@@ -71,7 +71,8 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
       oracle the same with B the true per-entry error, inf without an
       estimate, as each event records.
     - Bands never rise, and an event changes no T_k, B_k, true error or
-      estimate of an arm it did not choose.
+      estimate of an arm it did not choose; floats are compared bit for
+      bit, which ``write_metrics_csv`` relies on.
     """
     K, budget, schedule = cfg.num_matrices, cfg.budget, cfg.schedule
     caps = [d * d for d in cfg.dims]
@@ -118,8 +119,9 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
         if event.b_values[pos] > B[pos]:
             return f"event {j} raised arm {pos}'s band from {B[pos]} to {event.b_values[pos]}"
         for i in range(K):
-            now = (event.b_values[i], event.true_errors[i], event.estimated[i])
-            if i != pos and now != (B[i], E[i], H[i]):
+            # float.hex tells -0.0 from 0.0, as metrics.csv prints them.
+            now = (event.b_values[i].hex(), event.true_errors[i].hex(), event.estimated[i])
+            if i != pos and now != (B[i].hex(), E[i].hex(), H[i]):
                 return f"event {j} changed arm {i}, which it did not choose"
         T, B, E, H = grown, list(event.b_values), list(event.true_errors), list(event.estimated)
         spent, last = event.t, pos

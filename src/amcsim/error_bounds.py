@@ -1,6 +1,6 @@
 """Honest error bands from double-sampled entries.
 
-The eval portion of a sample is scanned for entries observed at least
+The split of a sample pairs the looks at entries observed at least
 twice. Each disjoint pair of looks at the same entry gives one unbiased
 product-of-residuals term; their average estimates the normalized
 squared Frobenius error of an estimate without knowing the noise level.
@@ -19,7 +19,6 @@ from .problem import Dataset
 __all__ = [
     "ErrorEstimate",
     "split_dataset",
-    "paired_arrays",
     "b_value",
     "estimate_error_bound",
 ]
@@ -43,42 +42,29 @@ class ErrorEstimate:
             raise ValueError("zero pairs must give an infinite band")
 
 
-def split_dataset(data: Dataset) -> tuple[Dataset, Dataset]:
-    """Split one dataset into (train, eval) parts.
+def split_dataset(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...]]:
+    """Split one dataset into its train part and its eval pairs.
 
     Entries observed exactly once train; every observation of an entry
     seen twice or more evaluates, so no repeat-free observation is
-    wasted. Together the parts are the original multiset, and each comes
-    out grouped: entries in row-major order, arrival order within an
-    entry.
+    wasted. ``train`` comes out with its entries in row-major order.
+    The eval pairs are (rows, cols, y, y2): the disjoint consecutive
+    pairs of looks at each repeated entry, entries in row-major order and
+    looks in arrival order. An entry seen m times yields floor(m/2)
+    pairs; a leftover odd look is dropped. Both come from one grouping.
     """
     if len(data) == 0:
         raise ValueError("cannot split an empty dataset")
     order, counts = data.by_entry()
-    train = np.repeat(counts == 1, counts)
-    return data.take(order[train]), data.take(order[~train])
-
-
-def paired_arrays(eval_data: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized pairing of double-sampled entries.
-
-    Returns (rows, cols, y, y2) of the disjoint consecutive pairs formed
-    within each repeated entry, in the entry's insertion order. An entry
-    seen m times yields floor(m/2) pairs; a leftover odd observation is
-    discarded.
-    """
-    order, counts = eval_data.by_entry()
-    # Consecutive grouped positions of an entry are consecutive looks at it.
+    # Per grouped position, its entry's count and which look at it it is;
+    # consecutive grouped positions of an entry are consecutive looks at it.
+    seen = np.repeat(counts, counts)
     offsets = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
-    first = (offsets % 2 == 0) & (offsets + 1 < np.repeat(counts, counts))
+    first = (offsets % 2 == 0) & (offsets + 1 < seen)
     idx1 = order[first]
     idx2 = order[np.flatnonzero(first) + 1]
-    return (
-        eval_data.rows[idx1],
-        eval_data.cols[idx1],
-        eval_data.values[idx1],
-        eval_data.values[idx2],
-    )
+    pairs = (data.rows[idx1], data.cols[idx1], data.values[idx1], data.values[idx2])
+    return data.take(order[seen == 1]), pairs
 
 
 def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0) -> float:
@@ -95,15 +81,16 @@ def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0
     return r_n + scale * bound * bound * math.sqrt(math.log(dim) / n_pairs)
 
 
-def estimate_error_bound(est: MatrixEstimate, eval_data: Dataset, dim: int, bound: float,
-                         scale: float = 8.0) -> ErrorEstimate:
-    """Pair the eval sample and bundle (N, r_n, b) for one estimate.
+def estimate_error_bound(est: MatrixEstimate, pairs: tuple[np.ndarray, ...], dim: int,
+                         bound: float, scale: float = 8.0) -> ErrorEstimate:
+    """Bundle (N, r_n, b) for one estimate on the eval pairs of ``split_dataset``.
 
-    r_n averages (y - m)(y2 - m) over the pairs, m being the estimate's
-    value at the pair's entry: an unbiased estimate of ||est - M||_F^2 / d^2
-    that may be negative. With no pairs the band is +inf.
+    r_n averages (y - m)(y2 - m) over the pairs (rows, cols, y, y2), m
+    being the estimate's value at the pair's entry: an unbiased estimate
+    of ||est - M||_F^2 / d^2 that may be negative. With no pairs the band
+    is +inf.
     """
-    rows, cols, y, y2 = paired_arrays(eval_data)
+    rows, cols, y, y2 = pairs
     n_pairs = len(y)
     if n_pairs == 0:
         return ErrorEstimate(n_pairs=0, r_n=None, b=math.inf)

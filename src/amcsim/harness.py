@@ -178,9 +178,11 @@ def _fmt_p(p: float | None) -> str:
 def write_metrics_csv(result: ExperimentResult, path: str) -> None:
     """Write one row per (job, event, matrix), floats at 17 significant digits.
 
-    The columns an event shares are formatted once per event, and an
-    arm's ``k,T_k,B_k,true_err_k`` fragment once per change of its
-    fields, so an event costs one join; text columns are quoted as
+    The columns an event shares are formatted once per event. A job's
+    first event formats every arm's ``k,T_k,B_k,true_err_k`` fragment
+    and each later event only its chosen arm's, since an event changes no
+    other arm's fields (a law ``checks.trace_violation`` checks bit for
+    bit); so an event costs one join. Text columns are quoted as
     ``csv.writer`` quotes them. The file is written one event at a time.
 
     The ``seed`` column is ``SeedSequence((master seed, rep)).generate_state(1)[0]``,
@@ -202,35 +204,14 @@ def write_metrics_csv(result: ExperimentResult, path: str) -> None:
             )
             head = buf.getvalue()[:-2]
             frags = [""] * len(ks)
-            for event, changed in zip(trace.events, _changed_arms(trace.events)):
-                for i in changed:
+            for n, event in enumerate(trace.events):
+                for i in (event.chosen - 1,) if n else range(len(ks)):
                     frags[i] = "%d,%d,%.17g,%.17g" % (
                         ks[i], event.t_values[i], event.b_values[i], event.true_errors[i]
                     )
                 lead = f"{head},{event.t},"
                 tail = f",{_fmt_float(event.loss_p1)},{_fmt_float(event.loss_pinf)}\n"
                 fh.write(lead + (tail + lead).join(frags) + tail)
-
-
-def _changed_arms(events) -> list[list[int]]:
-    """Per event, the arms whose T_k, B_k or true_err_k differ from the
-    event before; every arm on the first event.
-
-    Floats are compared by their bits, which tells 0.0 from -0.0 as their
-    formats do.
-    """
-    t_values = np.array([event.t_values for event in events])
-    bits = np.array(
-        [event.b_values + event.true_errors for event in events], dtype=np.float64
-    ).view(np.int64)
-    K = t_values.shape[1]
-    changed = np.ones(t_values.shape, dtype=bool)
-    moved = bits[1:] != bits[:-1]
-    changed[1:] = (t_values[1:] != t_values[:-1]) | moved[:, :K] | moved[:, K:]
-    out: list[list[int]] = [[] for _ in events]
-    for n, i in zip(*(a.tolist() for a in np.nonzero(changed))):
-        out[n].append(i)
-    return out
 
 
 SUMMARY_HEADER = (

@@ -68,9 +68,9 @@ class GroundTruth:
 class Dataset:
     """Ordered observations of a single matrix, stored as flat arrays.
 
-    Arrival order is significant: pairing takes an entry's looks in it.
-    The parts ``split_dataset`` returns are grouped by entry and keep
-    arrival order within an entry.
+    Arrival order is significant: ``split_dataset`` pairs an entry's
+    looks in it, from one ``by_entry`` grouping that also gives the train
+    part, each entry seen once in row-major order.
     """
 
     rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))

@@ -10,8 +10,8 @@ rule that names the next matrix. Each step requests a batch of fresh
 observations for that matrix, refits on all of its observations so
 far, re-estimates the error band, and accepts the new estimate unless
 its band is worse than the current one. An equal band, inf included,
-is accepted, so an arm's first refit is kept even when its eval part
-has no pairs.
+is accepted, so an arm's first refit is kept even when its split has
+no pairs.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -149,8 +149,9 @@ class ExperimentConfig:
             raise ValueError("sigma must be nonnegative and finite")
         if not 0 < self.bound_a < math.inf:
             raise ValueError("bound_a must be positive and finite")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
+        init = sum(min(self.schedule.init_multiplier * d, d * d) for d in self.dims)
+        if self.budget < init:
+            raise ValueError(f"budget {self.budget} cannot cover initialization ({init})")
         if not 0 < self.confidence_scale < math.inf:
             raise ValueError("confidence_scale must be positive and finite")
         if self.reps < 1:
@@ -293,13 +294,13 @@ def loss_from_errors(errors, p: float, weights=None) -> float:
 
 
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
-    """Fit on the train part of the arm's data, band the rest, accept if not worse."""
-    train, eval_part = split_dataset(state.data)
+    """Fit on the train part of the arm's data, band on its pairs, accept if not worse."""
+    train, pairs = split_dataset(state.data)
     if len(train) == 0:
         return
     matrix = state.truth.spec
     est = soft_impute_fit(train, matrix, cfg.estimator, warm=state.current)
-    bundle = estimate_error_bound(est, eval_part, matrix.dim, matrix.bound, cfg.confidence_scale)
+    bundle = estimate_error_bound(est, pairs, matrix.dim, matrix.bound, cfg.confidence_scale)
     if bundle.b <= state.band:
         diff = est.values - state.truth.entries
         state.current = est
@@ -333,8 +334,6 @@ def _run(
     # names each arm that gets one of the equal sub-batches of what the
     # budget leaves.
     init = [min(schedule.init_multiplier * s.dim, s.cap) for s in states]
-    if budget < sum(init):
-        raise ValueError(f"budget {budget} cannot cover initialization ({sum(init)})")
     sub_batch = math.ceil((budget - sum(init)) / schedule.num_batches)
     # The trace's per-arm columns. A step changes the chosen arm's state
     # only, so only its entries are rewritten.

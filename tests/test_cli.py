@@ -104,22 +104,31 @@ def test_run_rejects_negative_seed_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1]])
-def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, weights):
-    # A malocate job with bad weights listed after a uniform one must fail
-    # when the config loads, not after the uniform job has run.
+@pytest.mark.parametrize(
+    "weights,budget,message",
+    [pytest.param(w, 64, "weights", id=f"weights{n}")
+     for n, w in enumerate([[1, 2, 3], [-1, 2], [0, 1], ["nan", 1]])]
+    # The first batches are 2 * 8 per arm.
+    + [pytest.param([1, 2], 31, "budget 31 cannot cover initialization (32)", id="budget")],
+)
+def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, weights, budget,
+                                                message):
+    # A malocate job with bad weights listed after a uniform one, or a
+    # budget short of the first batches, must fail when the config loads,
+    # not after the uniform job has run or the out dir is made.
     monkeypatch.setattr(cli, "run_experiment", lambda *a, **k: pytest.fail("jobs started"))
     bad = tmp_path / "bad.json"
     strategies = [{"kind": "uniform"}, {"kind": "malocate", "p": 1, "weights": weights}]
     bad.write_text(json.dumps({
-        "dims": [8, 8], "ranks": [2, 2], "budget": 64, "strategies": strategies,
+        "dims": [8, 8], "ranks": [2, 2], "budget": budget, "strategies": strategies,
         "schedule": {"kind": "discretized", "init_multiplier": 2, "num_batches": 2},
     }))
     out = tmp_path / "o"
     code = main(["run", "--config", str(bad), "--out", str(out)])
     assert code == 1
-    assert "amcsim: error:" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("amcsim: error:") and message in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])
@@ -135,7 +144,8 @@ def test_run_rejects_bad_threads(tmp_path, capsys, threads):
 def test_run_rejects_duplicate_strategy_label(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     strategies = [{"kind": "malocate", "p": 1}, {"kind": "malocate", "p": 1, "weights": [1, 5]}]
-    bad.write_text(json.dumps({"dims": [8, 8], "ranks": [2, 2], "strategies": strategies}))
+    bad.write_text(json.dumps({"dims": [8, 8], "ranks": [2, 2], "budget": 128,
+                               "strategies": strategies}))
     out = tmp_path / "o"
     code = main(["run", "--config", str(bad), "--out", str(out)])
     assert code == 1

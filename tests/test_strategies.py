@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import amcsim.strategies as strategies
 from amcsim import (
     ArmState,
+    Dataset,
     Discretized,
     EstimatorConfig,
     ExperimentConfig,
@@ -233,29 +234,33 @@ class TestInitClampedToCap:
     # 8 * 6 = 48 is clamped to 36. The run at budget 2 d^2 is in FIXED_RUNS.
     def test_budget_of_clamped_init(self):
         truths = make_problem([6, 6], [1, 1], seed=15)
-        cfg = run_config(
-            truths, sigma=0.1, budget=71, schedule=Discretized(8, 4), estimator=FAST_CFG,
-            confidence_scale=8.0,
-        )
         with pytest.raises(ValueError, match="cannot cover initialization \\(72\\)"):
-            malocate_run(truths, cfg, P1, rng=13)
+            run_config(truths, sigma=0.1, budget=71, schedule=Discretized(8, 4),
+                       estimator=FAST_CFG, confidence_scale=8.0)
 
 
 class TestRefitData:
     @pytest.mark.parametrize("schedule", [Discretized(8, 10)], ids=["reused"])
     def test_reused_or_latest_batch(self, schedule, monkeypatch):
-        # Each step refits once, on every observation of the chosen arm.
-        split, lengths = strategies.split_dataset, []
+        # Each step refits once, on every observation of the chosen arm,
+        # and groups them by entry once.
+        split, by_entry, lengths, groupings = strategies.split_dataset, Dataset.by_entry, [], []
 
         def recording_split(data):
             lengths.append(len(data))
             return split(data)
 
+        def counting_by_entry(data):
+            groupings.append(len(data))
+            return by_entry(data)
+
         monkeypatch.setattr(strategies, "split_dataset", recording_split)
+        monkeypatch.setattr(Dataset, "by_entry", counting_by_entry)
         truths = make_problem([10, 12], [1, 2], seed=16)
         cfg = run_config(truths, sigma=0.1, budget=300, schedule=schedule, estimator=FAST_CFG)
         _, trace = malocate_run(truths, cfg, P1, rng=14)
         assert len(lengths) == len(trace.events) > 3
+        assert groupings == lengths
         for n, event in zip(lengths, trace.events):
             assert n == event.t_values[event.chosen - 1]
 
