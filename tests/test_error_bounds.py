@@ -58,21 +58,25 @@ def assert_same(got, rows, cols, values):
     assert got.values.tolist() == values
 
 
-def check_split(data):
-    """The split matches a dict walk of ``data`` by entry: the train part
-    is the entries seen once, and the eval pairs are consecutive looks at
-    one entry, entries in row-major order."""
-    rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
-    groups = positions_by_entry(data)
-    train, pairs = split_dataset(data)
-    once = [ps[0] for ps in groups.values() if len(ps) == 1]
-    assert_same(train, *([xs[p] for p in once] for xs in (rows, cols, values)))
+def check_pairs(data):
+    """The eval pairs are consecutive looks at one entry, entries in row-major order."""
+    values = data.values.tolist()
     expected = [
         (i, j, values[ps[k]], values[ps[k + 1]])
-        for (i, j), ps in groups.items()
+        for (i, j), ps in positions_by_entry(data).items()
         for k in range(0, len(ps) - 1, 2)
     ]
+    pairs = split_dataset(data)[1]
     assert list(zip(*(a.tolist() for a in pairs))) == expected
+
+
+def check_split(data):
+    """The split matches a dict walk of ``data`` by entry: the train part
+    is the entries seen once, and the eval pairs are as ``check_pairs`` says."""
+    rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
+    once = [ps[0] for ps in positions_by_entry(data).values() if len(ps) == 1]
+    assert_same(split_dataset(data)[0], *([xs[p] for p in once] for xs in (rows, cols, values)))
+    check_pairs(data)
 
 
 class TestSplitDataset:
@@ -95,18 +99,18 @@ class TestSplitDataset:
 
 class TestPairDoubleSamples:
     def test_single_duplicate(self):
-        check_split(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
+        check_pairs(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
 
     def test_consecutive_disjoint_pairs(self):
-        check_split(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
+        check_pairs(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
 
     def test_odd_leftover_discarded(self):
-        check_split(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
+        check_pairs(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
 
     def test_pair_count_bound_and_entry_match(self):
         gt = generate_ground_truth(MatrixSpec(index=1, dim=6, rank_bound=1), 2)
         for seed in range(10):
-            check_split(new_samples(gt, 1.0, 120, named_stream(50, seed)))
+            check_pairs(new_samples(gt, 1.0, 120, named_stream(50, seed)))
 
 
 class TestGroupingByEntry:
@@ -118,6 +122,11 @@ class TestGroupingByEntry:
     @example(make_dataset([(0, 0, 1.0)]))
     def test_split_dataset(self, data):
         check_split(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(crowded_datasets())
+    def test_paired_arrays(self, data):
+        check_pairs(data)
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
