@@ -113,9 +113,10 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
         law = first[pos] if T[pos] == 0 else later
         batch = min(law, budget - spent, caps[pos] - T[pos])
         grown = T[:pos] + [T[pos] + batch] + T[pos + 1:]
-        if (event.batch, event.t, list(event.t_values)) != (batch, spent + batch, grown):
-            return (f"event {j} drew {event.batch} to reach t = {event.t}, T = {event.t_values};"
-                    f" the batch law gives {batch}, t = {spent + batch}, T = {tuple(grown)}")
+        if (event.t, list(event.t_values)) != (spent + batch, grown):
+            return (f"event {j} drew {event.t - spent} to reach t = {event.t},"
+                    f" T = {event.t_values}; the batch law gives {batch},"
+                    f" t = {spent + batch}, T = {tuple(grown)}")
         if event.b_values[pos] > B[pos]:
             return f"event {j} raised arm {pos}'s band from {B[pos]} to {event.b_values[pos]}"
         for i in range(K):
@@ -338,7 +339,7 @@ def check_fit_fixed_point() -> str | None:
     # One fixed 30 x 30 rank-3 instance sampled at 20%, run to a tight tol.
     spec = MatrixSpec(index=1, dim=30, rank_bound=3)
     data = new_samples(generate_ground_truth(spec, 3), 0.1, 180, named_stream(3))
-    cfg = EstimatorConfig(max_iters=5000, tol=1e-11, clip_output=False)
+    cfg = EstimatorConfig(max_iters=5000, tol=1e-11)
     return fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg)
 
 

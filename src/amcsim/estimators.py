@@ -56,16 +56,15 @@ class EstimatorConfig:
     """Knobs of the SoftImpute fit.
 
     ``lambda_scale`` multiplies the regularization schedule; ``tol`` is
-    the relative Frobenius change below which iteration stops.
-    ``clip_output`` clamps the fit to [-A, A]. Whatever the knobs, the fit
-    asserts that no accepted step raises the objective by more than
-    rounding (1e-9 relative).
+    the relative Frobenius change below which iteration stops. The fit
+    returns its last iterate; the run loop clamps it to [-A, A].
+    Whatever the knobs, the fit asserts that no accepted step raises the
+    objective by more than rounding (1e-9 relative).
     """
 
     lambda_scale: float = 1.0
     max_iters: int = 300
     tol: float = 1e-5
-    clip_output: bool = True
 
     def __post_init__(self):
         # Chained comparisons reject NaN as well as inf.
@@ -208,7 +207,7 @@ def soft_impute_fit(
     above it; either makes one ``np.linalg.svd`` call, so the SVD count
     is the iteration count. Stops when an accepted step's
     relative Frobenius change is below ``cfg.tol`` (``converged``) or
-    after ``cfg.max_iters`` steps.
+    after ``cfg.max_iters`` steps; returns the last accepted iterate, unclamped.
     """
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
@@ -253,9 +252,6 @@ def soft_impute_fit(
             converged = True
             break
         z_norm = _frobenius(z)
-
-    if cfg.clip_output:
-        np.clip(z, -spec.bound, spec.bound, out=z)
     return MatrixEstimate(spec.index, z, iterations, converged)
 
 
@@ -263,7 +259,7 @@ def plain_soft_impute(
     train: Dataset, spec: MatrixSpec, cfg: EstimatorConfig
 ) -> tuple[np.ndarray, int]:
     """The unaccelerated SoftImpute loop Z <- svt(fill(Z), theta), with
-    the dense ``svt``, from zero and unclipped, stopping on the same tol
+    the dense ``svt``, from zero, stopping on the same tol
     rule as ``soft_impute_fit``: the reference the fit is tested against.
 
     Returns the last iterate and the number of steps taken.

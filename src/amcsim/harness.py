@@ -82,7 +82,7 @@ def scaled(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
 
     The budget reverts to the default sum of d'^2 / 2, so the
     budget-to-capacity ratio of the presets is preserved. ``factor``
-    must be positive and finite.
+    must be positive and finite, and an error of the scaled config names it.
     """
     if not 0 < factor < math.inf:  # rejects NaN too
         raise ValueError(f"scale factor must be positive and finite, got {factor}")
@@ -90,7 +90,10 @@ def scaled(cfg: ExperimentConfig, factor: float) -> ExperimentConfig:
     ranks = tuple(
         min(d, max(1, round(r / factor))) for d, r in zip(dims, cfg.ranks)
     )
-    return replace(cfg, dims=dims, ranks=ranks, budget=None)
+    try:
+        return replace(cfg, dims=dims, ranks=ranks, budget=None)
+    except ValueError as exc:
+        raise ValueError(f"scale {factor:g}: {exc}") from None
 
 
 def _rep_seed(master_seed: int, rep: int) -> int:
@@ -279,6 +282,7 @@ _TAGS = (
     ("schedule", "kind", "discretized", True),
     ("schedule", "reuse_samples", True, False),
     ("estimator", "warm_start", True, False),
+    ("estimator", "clip_output", True, False),
 )
 
 

@@ -8,10 +8,10 @@ criterion, a round-robin baseline, and an oracle: the adaptive rule on
 true errors. They differ only in the score they give ``_pick``, the one
 rule that names the next matrix. Each step requests a batch of fresh
 observations for that matrix, refits on all of its observations so
-far, re-estimates the error band, and accepts the new estimate unless
-its band is worse than the current one. An equal band, inf included,
-is accepted, so an arm's first refit is kept even when its split has
-no pairs.
+far, clamps the fit to the model's entry bound [-A, A], re-estimates the
+error band on it, and accepts it unless its band is worse than the
+current one. An equal band, inf included, is accepted, so an arm's
+first refit is kept even when its split has no pairs.
 
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
@@ -230,7 +230,6 @@ class TraceEvent:
 
     t: int
     chosen: int
-    batch: int
     b_values: tuple[float, ...]
     t_values: tuple[int, ...]
     true_errors: tuple[float, ...]
@@ -294,12 +293,13 @@ def loss_from_errors(errors, p: float, weights=None) -> float:
 
 
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
-    """Fit on the train part of the arm's data, band on its pairs, accept if not worse."""
+    """Fit on the train part, clamp to [-A, A], band on the pairs, accept if not worse."""
     train, pairs = split_dataset(state.data)
     if len(train) == 0:
         return
     matrix = state.truth.spec
     est = soft_impute_fit(train, matrix, cfg.estimator, warm=state.current)
+    np.clip(est.values, -matrix.bound, matrix.bound, out=est.values)
     bundle = estimate_error_bound(est, pairs, matrix.dim, matrix.bound, cfg.confidence_scale)
     if bundle.b <= state.band:
         diff = est.values - state.truth.entries
@@ -367,7 +367,6 @@ def _run(
             TraceEvent(
                 t=spent,
                 chosen=state.truth.spec.index,
-                batch=batch,
                 b_values=tuple(b_values),
                 t_values=tuple(t_values),
                 true_errors=tuple(true_errors),

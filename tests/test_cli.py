@@ -74,8 +74,10 @@ def test_run_with_overrides(tmp_path):
     ({"schedule": {"kind": "discretized", "reuse_samples": False}},
      "config.schedule.reuse_samples must be True, got False"),
     ({"estimator": {"warm_start": False}}, "config.estimator.warm_start must be True, got False"),
+    ({"estimator": {"clip_output": False}},
+     "config.estimator.clip_output must be True, got False"),
 ], ids=["unknown_key", "malformed_scalar", "fractional_int", "non_string_experiment",
-        "bool_number", "fresh_batches", "cold_refits"])
+        "bool_number", "fresh_batches", "cold_refits", "unclamped_fits"])
 def test_run_rejects_bad_config(tmp_path, capsys, config, message):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dims": [8], "ranks": [2], **config}))
@@ -83,16 +85,22 @@ def test_run_rejects_bad_config(tmp_path, capsys, config, message):
     code = main(["run", "--config", str(bad), "--out", str(out)])
     assert code == 1
     assert f"amcsim: error: {message}" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", ["inf", "nan", "0", "-2"])
-def test_preset_rejects_bad_scale(tmp_path, capsys, scale):
+@pytest.mark.parametrize("scale,message", [
+    *(pytest.param(s, "scale factor must be positive and finite", id=s)
+      for s in ["inf", "nan", "0", "-2"]),
+    # exp1's d = 200 becomes 12, whose first batches 10 * 8 * 12 the
+    # default budget 10 * 12^2 / 2 cannot pay for.
+    pytest.param("16", "scale 16: budget 720 cannot cover initialization (960)", id="16"),
+])
+def test_preset_rejects_bad_scale(tmp_path, capsys, scale, message):
     out = tmp_path / "o"
     code = main(["preset", "exp1", "--scale", scale, "--out", str(out)])
     assert code == 1
-    assert "amcsim: error: scale factor must be positive and finite" in capsys.readouterr().err
-    assert not (out / "metrics.csv").exists()
+    assert f"amcsim: error: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_negative_seed_before_any_output(tmp_path, capsys):

@@ -172,7 +172,7 @@ class TestGramSvt:
         spec, _, data = sampled(d, d * d)
         # One step: momentum is zero on the first step, so it is one plain
         # step with the dense svt.
-        one = EstimatorConfig(lambda_scale=0.3, max_iters=1, clip_output=False)
+        one = EstimatorConfig(lambda_scale=0.3, max_iters=1)
         est = soft_impute_fit(data, spec, one)
         z, steps = plain_soft_impute(data, spec, one)
         assert steps == est.iterations == 1
@@ -191,7 +191,7 @@ class TestAcceleratedFit:
     def test_sampled_fit_matches_plain_loop(self, d):
         # 15% of d^2 draws, where the plain loop is slowest.
         spec, _, data = sampled(d, int(0.15 * d * d))
-        cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
+        cfg = EstimatorConfig(max_iters=20000, tol=1e-11)
         assert 0 < fixed_point_rank(data, spec, cfg) < d
 
     @pytest.mark.parametrize("d", [12, 50])
@@ -228,7 +228,7 @@ class TestAcceleratedFit:
             noise = np.random.default_rng(seed).normal(scale=0.5, size=(d, d))
             start = MatrixEstimate(1, gt.entries + noise)
         # The fit after k steps is the last iterate accepted by then.
-        cfg = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-300, clip_output=False)
+        cfg = EstimatorConfig(lambda_scale=lambda_scale, tol=1e-300)
         values = [
             objective(data, spec, cfg, soft_impute_fit(
                 data, spec, dataclasses.replace(cfg, max_iters=k), warm=start
@@ -253,7 +253,7 @@ class TestAcceleratedFit:
     @example(d=36, share=1.0, rank=6, seed=26702)
     def test_fixed_point_matches_plain_loop(self, d, share, rank, seed):
         spec, _, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
-        cfg = EstimatorConfig(max_iters=20000, tol=1e-11, clip_output=False)
+        cfg = EstimatorConfig(max_iters=20000, tol=1e-11)
         assert fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg) is None
 
 
@@ -296,16 +296,13 @@ class TestSoftImpute:
             soft_impute_fit(Dataset(), spec, EstimatorConfig())
 
     def test_clip_output(self):
+        # The fit returns its iterate unclamped; the run loop clamps it to
+        # [-A, A] (TestRefitData::test_clamp_precedes_the_band).
         d = 4
         data = Dataset(rows=[0], cols=[0], values=[10.0])
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=1.0)
-        cfg = EstimatorConfig(lambda_scale=0.0, max_iters=3, tol=1e-12, clip_output=True)
-        est = soft_impute_fit(data, spec, cfg)
-        assert np.all(est.values <= 1.0) and np.all(est.values >= -1.0)
-        loose = soft_impute_fit(
-            data, spec, EstimatorConfig(lambda_scale=0.0, max_iters=3, tol=1e-12, clip_output=False)
-        )
-        assert loose.values[0, 0] == pytest.approx(10.0)
+        cfg = EstimatorConfig(lambda_scale=0.0, max_iters=3, tol=1e-12)
+        assert soft_impute_fit(data, spec, cfg).values[0, 0] == pytest.approx(10.0)
 
     def test_deterministic(self):
         spec = MatrixSpec(index=1, dim=25, rank_bound=2)

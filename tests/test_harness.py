@@ -173,7 +173,6 @@ def valid_configs(draw):
         lambda_scale=st.floats(0.0, 1e3),
         max_iters=st.integers(1, 10_000),
         tol=positive,
-        clip_output=st.booleans(),
     )
     return ExperimentConfig(
         experiment=draw(st.text(max_size=12)),
@@ -235,7 +234,7 @@ class TestPresets:
     def test_scaled_keeps_other_fields(self):
         # Two samples per dimension keep the halved dims' first batches
         # within the default budget.
-        cfg = tiny_config(schedule=Discretized(2, 8), estimator=EstimatorConfig(clip_output=False))
+        cfg = tiny_config(schedule=Discretized(2, 8), estimator=EstimatorConfig(tol=1e-4))
         small = scaled(cfg, 2.0)
         assert small.dims == (8, 10) and small.budget == 82
         assert replace(small, dims=cfg.dims, ranks=cfg.ranks, budget=cfg.budget) == cfg
@@ -425,7 +424,7 @@ class TestConfigSerialization:
     @pytest.mark.parametrize(
         "path,tag",
         [(("split",), "by_multiplicity"), (("schedule", "reuse_samples"), True),
-         (("estimator", "warm_start"), True)],
+         (("estimator", "warm_start"), True), (("estimator", "clip_output"), True)],
     )
     def test_format_tags(self, path, tag):
         # Each is written with its one value and may be left out; the
@@ -483,6 +482,8 @@ class TestConfigSerialization:
             ("dims", [16, "x"], "config.dims[1]: expected int, got 'x'"),
             ("estimator", {"tol": math.nan}, "config.estimator: tol must be positive and finite"),
             ("sigma", -1.0, "config: sigma must be nonnegative and finite"),
+            ("estimator", {"clip_output": False},
+             "config.estimator.clip_output must be True, got False"),
         ],
     )
     def test_malformed_value_names_its_field(self, key, value, message):

@@ -11,8 +11,10 @@ from amcsim import (
     Discretized,
     EstimatorConfig,
     ExperimentConfig,
+    MatrixEstimate,
     MatrixSpec,
     StrategySpec,
+    estimate_error_bound,
     generate_ground_truth,
     loss_from_errors,
     malocate_run,
@@ -263,6 +265,37 @@ class TestRefitData:
         assert groupings == lengths
         for n, event in zip(lengths, trace.events):
             assert n == event.t_values[event.chosen - 1]
+
+    def test_clamp_precedes_the_band(self, monkeypatch):
+        # The truths' entries have variance 1, so at A = 0.5 the fits
+        # overshoot the bound and the clamp binds. Each kept estimate lies
+        # in [-A, A], and its band is that of the clamped values on the
+        # pairs of its refit's split.
+        refit, split, pairs, kept = strategies._refit, strategies.split_dataset, [], []
+
+        def recording_split(data):
+            train, eval_pairs = split(data)
+            pairs.append(eval_pairs)
+            return train, eval_pairs
+
+        def recording_refit(state, cfg):
+            before = state.current
+            refit(state, cfg)
+            if state.current is not before:
+                kept.append((state.current.values, pairs[-1], state.dim, state.band))
+
+        monkeypatch.setattr(strategies, "split_dataset", recording_split)
+        monkeypatch.setattr(strategies, "_refit", recording_refit)
+        truths = make_problem([10, 12], [1, 2], seed=16, bound=0.5)
+        cfg = run_config(truths, sigma=0.1, bound_a=0.5, budget=300,
+                         schedule=Discretized(8, 10), estimator=FAST_CFG)
+        malocate_run(truths, cfg, P1, rng=14)
+        assert len(kept) > 3
+        assert any(np.abs(values).max() == 0.5 for values, *_ in kept)
+        for values, eval_pairs, dim, band in kept:
+            assert np.abs(values).max() <= 0.5
+            est = MatrixEstimate(0, values)
+            assert estimate_error_bound(est, eval_pairs, dim, 0.5, cfg.confidence_scale).b == band
 
 
 class TestOracleRun:
