@@ -47,9 +47,9 @@ def split_dataset(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...]]:
 
     Entries observed exactly once train; every observation of an entry
     seen twice or more evaluates, so no repeat-free observation is
-    wasted. ``train`` comes out with its entries in row-major order.
-    The eval pairs are (rows, cols, y, y2): the disjoint consecutive
-    pairs of looks at each repeated entry, entries in row-major order and
+    wasted. ``train`` comes out with its cells in increasing order.
+    The eval pairs are (cells, y, y2): the disjoint consecutive
+    pairs of looks at each repeated entry, cells in increasing order and
     looks in arrival order. An entry seen m times yields floor(m/2)
     pairs; a leftover odd look is dropped. Both come from one grouping.
     """
@@ -63,7 +63,7 @@ def split_dataset(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...]]:
     first = (offsets % 2 == 0) & (offsets + 1 < seen)
     idx1 = order[first]
     idx2 = order[np.flatnonzero(first) + 1]
-    pairs = (data.rows[idx1], data.cols[idx1], data.values[idx1], data.values[idx2])
+    pairs = (data.cells[idx1], data.values[idx1], data.values[idx2])
     return data.take(order[seen == 1]), pairs
 
 
@@ -85,15 +85,15 @@ def estimate_error_bound(est: MatrixEstimate, pairs: tuple[np.ndarray, ...], dim
                          bound: float, scale: float = 8.0) -> ErrorEstimate:
     """Bundle (N, r_n, b) for one estimate on the eval pairs of ``split_dataset``.
 
-    r_n averages (y - m)(y2 - m) over the pairs (rows, cols, y, y2), m
-    being the estimate's value at the pair's entry: an unbiased estimate
-    of ||est - M||_F^2 / d^2 that may be negative. With no pairs the band
-    is +inf.
+    r_n averages (y - m)(y2 - m) over the pairs (cells, y, y2), m
+    being the estimate's value at the pair's row-major cell: an unbiased
+    estimate of ||est - M||_F^2 / d^2 that may be negative. With no pairs
+    the band is +inf.
     """
-    rows, cols, y, y2 = pairs
+    cells, y, y2 = pairs
     n_pairs = len(y)
     if n_pairs == 0:
         return ErrorEstimate(n_pairs=0, r_n=None, b=math.inf)
-    m = est.values[rows, cols]
+    m = est.values.take(cells)
     r_n = float(np.mean((y - m) * (y2 - m)))
     return ErrorEstimate(n_pairs, r_n, b_value(r_n, n_pairs, dim, bound, scale))

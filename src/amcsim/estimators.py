@@ -158,10 +158,10 @@ def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * shrunk) @ (v @ wt.T).T, shrunk
 
 
-def _averaged_targets(train: Dataset, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The observed entries of a d x d matrix as flat row-major indices, in
-    increasing order, and the mean of each entry's observations."""
-    obs = train.rows * d + train.cols
+def _averaged_targets(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """The observed cells, each once and in increasing order, and the mean
+    of each cell's observations."""
+    obs = train.cells
     if (obs[1:] > obs[:-1]).all():
         # Each entry once and in order, as in a split's train part. 0.0 + v
         # is the one-look mean bit for bit, -0.0 included, as below.
@@ -212,7 +212,7 @@ def soft_impute_fit(
     if len(train) == 0:
         raise ValueError("cannot fit on an empty training set")
     d = spec.dim
-    obs, targets = _averaged_targets(train, d)  # flat indices into C-ordered d x d arrays
+    obs, targets = _averaged_targets(train)  # flat indices into C-ordered d x d arrays
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
 
     z = np.zeros((d, d)) if warm is None else warm.values.astype(np.float64, copy=True)
@@ -265,7 +265,7 @@ def plain_soft_impute(
     Returns the last iterate and the number of steps taken.
     """
     d = spec.dim
-    obs, targets = _averaged_targets(train, d)
+    obs, targets = _averaged_targets(train)
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
     z = np.zeros((d, d))
     for steps in range(1, cfg.max_iters + 1):

@@ -66,23 +66,22 @@ class GroundTruth:
 
 @dataclass
 class Dataset:
-    """Ordered observations of a single matrix, stored as flat arrays.
+    """Ordered observations of one d x d matrix, stored as flat arrays:
+    each one's row-major cell r * d + c in ``cells``, its value in ``values``.
 
     Arrival order is significant: ``split_dataset`` pairs an entry's
     looks in it, from one ``by_entry`` grouping that also gives the train
-    part, each entry seen once in row-major order.
+    part, each entry seen once with cells in increasing order.
     """
 
-    rows: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    cols: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
 
     def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
+        self.cells = np.asarray(self.cells, dtype=np.int64)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if not (len(self.rows) == len(self.cols) == len(self.values)):
-            raise ValueError("rows, cols and values must have equal length")
+        if len(self.cells) != len(self.values):
+            raise ValueError("cells and values must have equal length")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -90,17 +89,16 @@ class Dataset:
     def by_entry(self) -> tuple[np.ndarray, np.ndarray]:
         """Observation positions grouped by entry, and each entry's count.
 
-        The positions are listed entry by entry with entries in row-major
+        The positions are listed entry by entry with cells in increasing
         order and, within an entry, in arrival order; ``counts`` holds
         one count per entry in the same order.
         """
         n = len(self)
-        key = self.rows * (self.cols.max(initial=0) + 1) + self.cols
         # Ties broken by position make every key unique, so the default
         # sort keeps arrival order (a stable sort is several times slower).
-        # key * n stays in int64 while (d^2) * n < 2^63.
-        order = np.argsort(key * n + np.arange(n))
-        key = key[order]
+        # cells * n stays in int64 while (d^2) * n < 2^63.
+        order = np.argsort(self.cells * n + np.arange(n))
+        key = self.cells[order]
         # bounds: the first grouped position of each entry, then n.
         edge = np.ones(n + 1, dtype=bool)
         np.not_equal(key[1:], key[:-1], out=edge[1:-1])
@@ -109,13 +107,12 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         """Sub-dataset at positions ``idx``, preserving the given order."""
-        return Dataset(self.rows[idx], self.cols[idx], self.values[idx])
+        return Dataset(self.cells[idx], self.values[idx])
 
     def extend(self, other: "Dataset") -> "Dataset":
         """New dataset with ``other`` appended after ``self``."""
         return Dataset(
-            np.concatenate([self.rows, other.rows]),
-            np.concatenate([self.cols, other.cols]),
+            np.concatenate([self.cells, other.cells]),
             np.concatenate([self.values, other.values]),
         )
 
@@ -168,6 +165,7 @@ def new_samples(
     Entry locations are sampled with replacement on the d x d grid, so
     multi-sampling of an entry is possible (and, for T >> d, likely);
     the double-sampled entries are what powers the error estimator.
+    The stream gives T rows, then T columns, kept as cells r * d + c.
     Each value is the entry plus N(0, sigma^2) noise; sigma = 0 draws no
     noise, and a negative or NaN sigma is rejected.
     """
@@ -178,7 +176,8 @@ def new_samples(
     d = gt.spec.dim
     rows = rng.integers(0, d, size=T)
     cols = rng.integers(0, d, size=T)
-    values = gt.entries[rows, cols].astype(np.float64, copy=True)
+    cells = rows * d + cols
+    values = gt.entries.take(cells)
     if sigma > 0:
         values += rng.normal(0.0, sigma, size=T)
-    return Dataset(rows=rows, cols=cols, values=values)
+    return Dataset(cells, values)

@@ -114,10 +114,14 @@ def test_run_rejects_negative_seed_before_any_output(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "weights,budget,message",
-    [pytest.param(w, 64, "weights", id=f"weights{n}")
-     for n, w in enumerate([[1, 2, 3], [-1, 2], [0, 1], ["nan", 1]])]
-    # The first batches are 2 * 8 per arm.
-    + [pytest.param([1, 2], 31, "budget 31 cannot cover initialization (32)", id="budget")],
+    [
+        pytest.param([1, 2, 3], 64, "weights", id="weights0"),
+        pytest.param([-1, 2], 64, "weights", id="weights1"),
+        pytest.param([0, 1], 64, "weights", id="weights2"),
+        pytest.param(["nan", 1], 64, "weights", id="weights3"),
+        # The first batches are 2 * 8 per arm.
+        pytest.param([1, 2], 31, "budget 31 cannot cover initialization (32)", id="budget"),
+    ],
 )
 def test_run_rejects_bad_weights_before_any_job(tmp_path, capsys, monkeypatch, weights, budget,
                                                 message):

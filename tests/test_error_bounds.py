@@ -25,11 +25,9 @@ def as_estimate(values):
     return MatrixEstimate(1, values)
 
 
-def make_dataset(entries):
-    rows = [e[0] for e in entries]
-    cols = [e[1] for e in entries]
-    values = [e[2] for e in entries]
-    return Dataset(rows=rows, cols=cols, values=values)
+def make_dataset(entries, d):
+    """A dataset of a d x d matrix from (row, col, value) triples."""
+    return Dataset([i * d + j for i, j, _ in entries], [v for *_, v in entries])
 
 
 @st.composite
@@ -37,33 +35,32 @@ def crowded_datasets(draw):
     """A d x d dataset, d in 2..8, of up to 200 observations on few entries."""
     d = draw(st.integers(2, 8))
     n = draw(st.integers(1, 200))
-    cells = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    cells = st.lists(st.integers(0, d * d - 1), min_size=n, max_size=n)
     values = st.lists(
         st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False), min_size=n, max_size=n
     )
-    return Dataset(rows=draw(cells), cols=draw(cells), values=draw(values))
+    return Dataset(cells=draw(cells), values=draw(values))
 
 
 def positions_by_entry(data):
-    """{(row, col): positions in arrival order}, entries in row-major order."""
+    """{cell: positions in arrival order}, cells in increasing order."""
     groups = {}
-    for pos, entry in enumerate(zip(data.rows.tolist(), data.cols.tolist())):
-        groups.setdefault(entry, []).append(pos)
+    for pos, cell in enumerate(data.cells.tolist()):
+        groups.setdefault(cell, []).append(pos)
     return dict(sorted(groups.items()))
 
 
-def assert_same(got, rows, cols, values):
-    assert got.rows.tolist() == rows
-    assert got.cols.tolist() == cols
+def assert_same(got, cells, values):
+    assert got.cells.tolist() == cells
     assert got.values.tolist() == values
 
 
 def check_pairs(data):
-    """The eval pairs are consecutive looks at one entry, entries in row-major order."""
+    """The eval pairs are consecutive looks at one entry, cells in increasing order."""
     values = data.values.tolist()
     expected = [
-        (i, j, values[ps[k]], values[ps[k + 1]])
-        for (i, j), ps in positions_by_entry(data).items()
+        (cell, values[ps[k]], values[ps[k + 1]])
+        for cell, ps in positions_by_entry(data).items()
         for k in range(0, len(ps) - 1, 2)
     ]
     pairs = split_dataset(data)[1]
@@ -73,20 +70,20 @@ def check_pairs(data):
 def check_split(data):
     """The split matches a dict walk of ``data`` by entry: the train part
     is the entries seen once, and the eval pairs are as ``check_pairs`` says."""
-    rows, cols, values = data.rows.tolist(), data.cols.tolist(), data.values.tolist()
+    cells, values = data.cells.tolist(), data.values.tolist()
     once = [ps[0] for ps in positions_by_entry(data).values() if len(ps) == 1]
-    assert_same(split_dataset(data)[0], *([xs[p] for p in once] for xs in (rows, cols, values)))
+    assert_same(split_dataset(data)[0], *([xs[p] for p in once] for xs in (cells, values)))
     check_pairs(data)
 
 
 class TestSplitDataset:
     def test_by_multiplicity_rule(self):
         # Entries a, b, a, c: train {b, c}, eval {a, a}.
-        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)]))
+        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (0, 0, 3.0), (1, 1, 4.0)], 2))
 
     def test_by_multiplicity_all_distinct(self):
         # All distinct: the split trains on every observation.
-        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)]))
+        check_split(make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 0, 3.0)], 2))
 
     def test_union_is_original_multiset(self):
         gt = generate_ground_truth(MatrixSpec(index=1, dim=8, rank_bound=1), 0)
@@ -99,13 +96,13 @@ class TestSplitDataset:
 
 class TestPairDoubleSamples:
     def test_single_duplicate(self):
-        check_pairs(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)]))
+        check_pairs(make_dataset([(0, 0, 0.2), (0, 1, 0.5), (0, 0, 0.4)], 2))
 
     def test_consecutive_disjoint_pairs(self):
-        check_pairs(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)]))
+        check_pairs(make_dataset([(2, 2, v) for v in (1.0, 2.0, 3.0, 4.0)], 3))
 
     def test_odd_leftover_discarded(self):
-        check_pairs(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)]))
+        check_pairs(make_dataset([(1, 1, v) for v in (1.0, 2.0, 3.0)], 2))
 
     def test_pair_count_bound_and_entry_match(self):
         gt = generate_ground_truth(MatrixSpec(index=1, dim=6, rank_bound=1), 2)
@@ -119,7 +116,7 @@ class TestGroupingByEntry:
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
     # One observation: it trains, and there are no pairs.
-    @example(make_dataset([(0, 0, 1.0)]))
+    @example(make_dataset([(0, 0, 1.0)], 2))
     def test_split_dataset(self, data):
         check_split(data)
 
@@ -135,17 +132,17 @@ class TestGroupingByEntry:
         for part in (data, split_dataset(data)[0]):
             values = part.values.tolist()
             expected = []
-            for (i, j), ps in positions_by_entry(part).items():
+            for cell, ps in positions_by_entry(part).items():
                 total = 0.0
                 for p in ps:
                     total += values[p]
-                expected.append((i * 8 + j, total / len(ps)))
-            got = _averaged_targets(part, 8)  # d = 8 bounds every drawn index
+                expected.append((cell, total / len(ps)))
+            got = _averaged_targets(part)
             assert list(zip(*(a.tolist() for a in got))) == expected
 
 
 def r_n(est, entries):
-    pairs = split_dataset(make_dataset(entries))[1]
+    pairs = split_dataset(make_dataset(entries, est.shape[0]))[1]
     return estimate_error_bound(as_estimate(est), pairs, est.shape[0], 1.0).r_n
 
 
@@ -178,7 +175,7 @@ class TestEstimateError:
         assert r_n(est, [(1, 1, 2.3), (1, 1, 1.7)]) == pytest.approx(-0.09)
 
     @pytest.mark.parametrize("evl,d", [
-        (make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]), 2),
+        (make_dataset([(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)], 2), 2),
     ], ids=["entries_seen_once"])
     def test_no_pairs_gives_infinite_band(self, evl, d):
         # no pair, hence no estimate and no band
@@ -238,11 +235,12 @@ class TestErrorEstimateBundle:
         bundle = estimate_error_bound(as_estimate(est), pairs, 10, bound=2.0, scale=4.0)
         # pair each entry's looks (1st, 2nd), (3rd, 4th), ... in arrival order
         looks = {}
-        for i, j, v in zip(evl.rows, evl.cols, evl.values):
-            looks.setdefault((int(i), int(j)), []).append(float(v))
+        for c, v in zip(evl.cells.tolist(), evl.values.tolist()):
+            looks.setdefault(c, []).append(v)
+        m = est.ravel()
         terms = [
-            (vs[a] - est[i, j]) * (vs[a + 1] - est[i, j])
-            for (i, j), vs in looks.items()
+            (vs[a] - m[c]) * (vs[a + 1] - m[c])
+            for c, vs in looks.items()
             for a in range(0, len(vs) - 1, 2)
         ]
         assert bundle.n_pairs == len(terms)

@@ -24,17 +24,9 @@ from amcsim.estimators import MatrixEstimate, gram_svt, plain_soft_impute
 
 
 def full_coverage_dataset(entries, repeat_first=0):
-    d = entries.shape[0]
-    rows, cols = np.divmod(np.arange(d * d), d)
-    values = entries[rows, cols]
-    ds = Dataset(rows=rows, cols=cols, values=values)
+    ds = Dataset(np.arange(entries.size), entries.ravel())
     if repeat_first:
-        extra = Dataset(
-            rows=np.zeros(repeat_first, dtype=int),
-            cols=np.zeros(repeat_first, dtype=int),
-            values=np.full(repeat_first, entries[0, 0]),
-        )
-        ds = ds.extend(extra)
+        ds = ds.extend(Dataset([0] * repeat_first, np.full(repeat_first, entries[0, 0])))
     return ds
 
 
@@ -49,12 +41,10 @@ def objective(data, spec, cfg, z):
     """0.5 ||P_Omega(targets - z)||^2 + theta ||z||_*, duplicates averaged,
     with the nuclear norm from a dense SVD."""
     d = spec.dim
-    key = data.rows * d + data.cols
-    uniq, inverse = np.unique(key, return_inverse=True)
+    uniq, inverse = np.unique(data.cells, return_inverse=True)
     targets = np.bincount(inverse, weights=data.values) / np.bincount(inverse)
-    rows, cols = np.divmod(uniq, d)
     theta = d * lambda_for(d, len(data), spec.bound, cfg.lambda_scale)
-    resid = targets - z[rows, cols]
+    resid = targets - z.take(uniq)
     return 0.5 * float(resid @ resid) + theta * float(np.linalg.svd(z, compute_uv=False).sum())
 
 
@@ -284,7 +274,7 @@ class TestSoftImpute:
     def test_duplicates_averaged(self):
         # only entry (2,3) observed, twice; theta = 0 keeps the filled value
         d = 5
-        data = Dataset(rows=[2, 2], cols=[3, 3], values=[0.4, 0.6])
+        data = Dataset(cells=[2 * d + 3] * 2, values=[0.4, 0.6])
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=4.0)
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=5, tol=1e-12)
         est = soft_impute_fit(data, spec, cfg)
@@ -299,7 +289,7 @@ class TestSoftImpute:
         # The fit returns its iterate unclamped; the run loop clamps it to
         # [-A, A] (TestRefitData::test_clamp_precedes_the_band).
         d = 4
-        data = Dataset(rows=[0], cols=[0], values=[10.0])
+        data = Dataset(cells=[0], values=[10.0])
         spec = MatrixSpec(index=1, dim=d, rank_bound=1, bound=1.0)
         cfg = EstimatorConfig(lambda_scale=0.0, max_iters=3, tol=1e-12)
         assert soft_impute_fit(data, spec, cfg).values[0, 0] == pytest.approx(10.0)
@@ -360,13 +350,12 @@ class TestSoftImpute:
         assert np.median(small) > np.median(large)
 
 
-class TestGetEstimator:
+class TestFitOnSplit:
     """Fit on the training part of a split, as each refit of a run does."""
 
     def test_by_multiplicity_all_distinct(self):
         d = 6
-        rows, cols = np.divmod(np.arange(12), d)
-        data = Dataset(rows=rows, cols=cols, values=np.ones(12))
+        data = Dataset(cells=np.arange(12), values=np.ones(12))
         spec = MatrixSpec(index=1, dim=d, rank_bound=1)
         train, _ = split_dataset(data)
         soft_impute_fit(train, spec, EstimatorConfig(max_iters=5))
@@ -375,7 +364,7 @@ class TestGetEstimator:
     def test_empty_train_portion_rejected(self):
         spec = MatrixSpec(index=1, dim=5, rank_bound=1)
         # Two looks at one entry: both evaluate, and none trains.
-        data = Dataset(rows=[0, 0], cols=[0, 0], values=[1.0, 2.0])
+        data = Dataset(cells=[0, 0], values=[1.0, 2.0])
         train, _ = split_dataset(data)
         with pytest.raises(ValueError):
             soft_impute_fit(train, spec, EstimatorConfig())

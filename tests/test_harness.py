@@ -423,8 +423,12 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize(
         "path,tag",
-        [(("split",), "by_multiplicity"), (("schedule", "reuse_samples"), True),
-         (("estimator", "warm_start"), True), (("estimator", "clip_output"), True)],
+        [
+            pytest.param(("split",), "by_multiplicity", id="path0-by_multiplicity"),
+            pytest.param(("schedule", "reuse_samples"), True, id="path1-True"),
+            pytest.param(("estimator", "warm_start"), True, id="path2-True"),
+            pytest.param(("estimator", "clip_output"), True, id="path3-True"),
+        ],
     )
     def test_format_tags(self, path, tag):
         # Each is written with its one value and may be left out; the
@@ -448,42 +452,52 @@ class TestConfigSerialization:
         assert config_from_dict({**raw, "budget": None}).budget == 328
         assert scaled(tiny_config(dims=(32, 40), budget=2000), 2.0).budget == 328
 
+    # Each case's id is "key-tag-message", the tag a fixed string, so a
+    # case added anywhere renames no other.
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("experiment", None, "config.experiment must be a string, got None"),
-            ("experiment", ["x"], "config.experiment must be a string, got ['x']"),
-            ("experiment", True, "config.experiment must be a string, got True"),
-            ("sigma", "abc", "config.sigma: expected float, got 'abc'"),
-            ("dims", 5, "config.dims must be a list, got 5"),
-            ("reps", [1], "config.reps: expected int, got [1]"),
-            ("estimator", 3, "config.estimator must be an object, got 3"),
-            ("strategies", [{"kind": "malocate", "p": "abc"}],
-             "config.strategies[0].p: expected float, got 'abc'"),
-            ("strategies", [{"kind": "malocate", "p": math.nan}],
-             "config.strategies[0]: p must be >= 1, got nan"),
-            ("strategies", [{"p": 1.0}], "missing keys in config.strategies[0]: ['kind']"),
-            # The format tags, each with its one value.
-            ("schedule", {"kind": "discretized", "reuse_samples": "yes"},
-             "config.schedule.reuse_samples must be True, got 'yes'"),
-            ("schedule", {"kind": "bogus"},
-             "config.schedule.kind must be 'discretized', got 'bogus'"),
-            ("schedule", {"num_batches": 8}, "missing keys in config.schedule: ['kind']"),
-            ("split", "halves", "config.split must be 'by_multiplicity', got 'halves'"),
-            ("schedule", {"kind": "discretized", "reuse_samples": False},
-             "config.schedule.reuse_samples must be True, got False"),
-            ("estimator", {"warm_start": False},
-             "config.estimator.warm_start must be True, got False"),
-            ("estimator", {"warm_start": 1}, "config.estimator.warm_start must be True, got 1"),
-            # A list element is named by its index, and a dataclass's own
-            # check by the dataclass's path.
-            ("strategies", [{"kind": "uniform"}, {"kind": "malocate", "p": "abc"}],
-             "config.strategies[1].p: expected float, got 'abc'"),
-            ("dims", [16, "x"], "config.dims[1]: expected int, got 'x'"),
-            ("estimator", {"tol": math.nan}, "config.estimator: tol must be positive and finite"),
-            ("sigma", -1.0, "config: sigma must be nonnegative and finite"),
-            ("estimator", {"clip_output": False},
-             "config.estimator.clip_output must be True, got False"),
+            pytest.param(key, value, message, id=f"{key}-{tag}-{message}")
+            for key, tag, value, message in [
+                ("experiment", "None", None, "config.experiment must be a string, got None"),
+                ("experiment", "value1", ["x"], "config.experiment must be a string, got ['x']"),
+                ("experiment", "True", True, "config.experiment must be a string, got True"),
+                ("sigma", "abc", "abc", "config.sigma: expected float, got 'abc'"),
+                ("dims", "5", 5, "config.dims must be a list, got 5"),
+                ("reps", "value5", [1], "config.reps: expected int, got [1]"),
+                ("estimator", "3", 3, "config.estimator must be an object, got 3"),
+                ("strategies", "value7", [{"kind": "malocate", "p": "abc"}],
+                 "config.strategies[0].p: expected float, got 'abc'"),
+                ("strategies", "value8", [{"kind": "malocate", "p": math.nan}],
+                 "config.strategies[0]: p must be >= 1, got nan"),
+                ("strategies", "value9", [{"p": 1.0}],
+                 "missing keys in config.strategies[0]: ['kind']"),
+                # The format tags, each with its one value.
+                ("schedule", "value10", {"kind": "discretized", "reuse_samples": "yes"},
+                 "config.schedule.reuse_samples must be True, got 'yes'"),
+                ("schedule", "value11", {"kind": "bogus"},
+                 "config.schedule.kind must be 'discretized', got 'bogus'"),
+                ("schedule", "value12", {"num_batches": 8},
+                 "missing keys in config.schedule: ['kind']"),
+                ("split", "halves", "halves",
+                 "config.split must be 'by_multiplicity', got 'halves'"),
+                ("schedule", "value14", {"kind": "discretized", "reuse_samples": False},
+                 "config.schedule.reuse_samples must be True, got False"),
+                ("estimator", "value15", {"warm_start": False},
+                 "config.estimator.warm_start must be True, got False"),
+                ("estimator", "value16", {"warm_start": 1},
+                 "config.estimator.warm_start must be True, got 1"),
+                # A list element is named by its index, and a dataclass's own
+                # check by the dataclass's path.
+                ("strategies", "value17", [{"kind": "uniform"}, {"kind": "malocate", "p": "abc"}],
+                 "config.strategies[1].p: expected float, got 'abc'"),
+                ("dims", "value18", [16, "x"], "config.dims[1]: expected int, got 'x'"),
+                ("estimator", "value19", {"tol": math.nan},
+                 "config.estimator: tol must be positive and finite"),
+                ("sigma", "-1.0", -1.0, "config: sigma must be nonnegative and finite"),
+                ("estimator", "value21", {"clip_output": False},
+                 "config.estimator.clip_output must be True, got False"),
+            ]
         ],
     )
     def test_malformed_value_names_its_field(self, key, value, message):
@@ -493,12 +507,12 @@ class TestConfigSerialization:
     @pytest.mark.parametrize(
         "path,value",
         [
-            (("reps",), 2.5),
-            (("budget",), 1000.7),
-            (("seed",), math.inf),
-            (("dims",), [16.5, 20]),
-            (("schedule", "num_batches"), 8.25),
-            (("estimator", "max_iters"), 50.5),
+            pytest.param(("reps",), 2.5, id="path0-2.5"),
+            pytest.param(("budget",), 1000.7, id="path1-1000.7"),
+            pytest.param(("seed",), math.inf, id="path2-inf"),
+            pytest.param(("dims",), [16.5, 20], id="path3-value3"),
+            pytest.param(("schedule", "num_batches"), 8.25, id="path4-8.25"),
+            pytest.param(("estimator", "max_iters"), 50.5, id="path5-50.5"),
         ],
     )
     def test_fractional_int_rejected(self, path, value):
@@ -508,13 +522,13 @@ class TestConfigSerialization:
     @pytest.mark.parametrize(
         "path,value",
         [
-            (("reps",), True),
-            (("budget",), True),
-            (("sigma",), False),
-            (("dims",), [True, 20]),
-            (("estimator", "max_iters"), True),
-            (("estimator", "tol"), True),
-            (("strategies",), [{"kind": "malocate", "p": True}]),
+            pytest.param(("reps",), True, id="path0-True"),
+            pytest.param(("budget",), True, id="path1-True"),
+            pytest.param(("sigma",), False, id="path2-False"),
+            pytest.param(("dims",), [True, 20], id="path3-value3"),
+            pytest.param(("estimator", "max_iters"), True, id="path4-True"),
+            pytest.param(("estimator", "tol"), True, id="path5-True"),
+            pytest.param(("strategies",), [{"kind": "malocate", "p": True}], id="path6-value6"),
         ],
     )
     def test_bool_number_rejected(self, path, value):
@@ -522,7 +536,14 @@ class TestConfigSerialization:
             config_from_dict(tiny_raw(path, value))
 
     @pytest.mark.parametrize(
-        "weights", [[1, 2, 3], [-1, 2], [0, 1], ["nan", 1], ["inf", 1]]
+        "weights",
+        [
+            pytest.param([1, 2, 3], id="weights0"),
+            pytest.param([-1, 2], id="weights1"),
+            pytest.param([0, 1], id="weights2"),
+            pytest.param(["nan", 1], id="weights3"),
+            pytest.param(["inf", 1], id="weights4"),
+        ],
     )
     def test_bad_strategy_weights_rejected_at_load(self, weights):
         raw = {
@@ -537,15 +558,15 @@ class TestConfigSerialization:
         strategy = config_from_dict(raw).strategies[1]
         assert (strategy.p, strategy.weights) == (1.0, (1.0, 2.0))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize(
         "path",
         [
-            ("sigma",),
-            ("bound_a",),
-            ("confidence_scale",),
-            ("estimator", "tol"),
-            ("estimator", "lambda_scale"),
+            pytest.param(("sigma",), id="path0"),
+            pytest.param(("bound_a",), id="path1"),
+            pytest.param(("confidence_scale",), id="path2"),
+            pytest.param(("estimator", "tol"), id="path3"),
+            pytest.param(("estimator", "lambda_scale"), id="path4"),
         ],
     )
     def test_non_finite_settings_rejected_at_load(self, path, value):

@@ -70,7 +70,7 @@ def test_single_entry_matrix():
     gt = generate_ground_truth(spec, 5)
     ds = new_samples(gt, 0.0, 5, named_stream(0))
     assert len(ds) == 5
-    assert np.all(ds.rows == 0) and np.all(ds.cols == 0)
+    assert np.all(ds.cells == 0)
     assert np.allclose(ds.values, gt.entries[0, 0])
 
 
@@ -80,7 +80,7 @@ def test_new_samples_uniform_locations():
     spec = MatrixSpec(index=1, dim=d, rank_bound=2)
     gt = generate_ground_truth(spec, 3)
     ds = new_samples(gt, 0.0, 40000, named_stream(11))
-    counts = np.bincount(ds.rows * d + ds.cols, minlength=d * d)
+    counts = np.bincount(ds.cells, minlength=d * d)
     _, pvalue = stats.chisquare(counts)
     assert pvalue > 0.001
 
@@ -94,13 +94,20 @@ def test_new_samples_noise_statistics():
 
 
 def test_new_samples_deterministic_given_stream():
-    spec = MatrixSpec(index=1, dim=15, rank_bound=2)
+    d, T = 15, 100
+    spec = MatrixSpec(index=1, dim=d, rank_bound=2)
     gt = generate_ground_truth(spec, 9)
-    a = new_samples(gt, 0.2, 100, named_stream(4, 2))
-    b = new_samples(gt, 0.2, 100, named_stream(4, 2))
-    assert np.array_equal(a.rows, b.rows)
-    assert np.array_equal(a.cols, b.cols)
+    a = new_samples(gt, 0.2, T, named_stream(4, 2))
+    b = new_samples(gt, 0.2, T, named_stream(4, 2))
+    assert np.array_equal(a.cells, b.cells)
     assert np.array_equal(a.values, b.values)
+    # The stream gives all rows, then all columns; each cell is r * d + c.
+    replica = named_stream(4, 2)
+    rows = replica.integers(0, d, T)
+    cols = replica.integers(0, d, T)
+    assert np.array_equal(a.cells, rows * d + cols)
+    exact = new_samples(gt, 0.0, T, named_stream(4, 2))
+    assert exact.values.tobytes() == gt.entries[rows, cols].tobytes()
 
 
 def test_multi_sampling_occurs():
@@ -112,7 +119,7 @@ def test_multi_sampling_occurs():
     hits = 0
     for _ in range(1000):
         ds = new_samples(gt, 0.0, 800, rng)
-        counts = np.bincount(ds.rows * d + ds.cols, minlength=d * d)
+        counts = np.bincount(ds.cells, minlength=d * d)
         if np.any(counts >= 2):
             hits += 1
     assert hits >= 990
@@ -126,9 +133,10 @@ def test_new_samples_rejects_bad_T():
 
 
 def test_dataset_extend_preserves_order():
-    a = Dataset(rows=[0, 1], cols=[0, 1], values=[1.0, 2.0])
-    b = Dataset(rows=[2], cols=[2], values=[3.0])
+    a = Dataset(cells=[0, 4], values=[1.0, 2.0])
+    b = Dataset(cells=[8], values=[3.0])
     merged = a.extend(b)
+    assert list(merged.cells) == [0, 4, 8]
     assert list(merged.values) == [1.0, 2.0, 3.0]
     assert len(a) == 2  # extend does not mutate
 

@@ -242,8 +242,7 @@ class TestInitClampedToCap:
 
 
 class TestRefitData:
-    @pytest.mark.parametrize("schedule", [Discretized(8, 10)], ids=["reused"])
-    def test_reused_or_latest_batch(self, schedule, monkeypatch):
+    def test_refits_once_on_every_observation(self, monkeypatch):
         # Each step refits once, on every observation of the chosen arm,
         # and groups them by entry once.
         split, by_entry, lengths, groupings = strategies.split_dataset, Dataset.by_entry, [], []
@@ -259,7 +258,8 @@ class TestRefitData:
         monkeypatch.setattr(strategies, "split_dataset", recording_split)
         monkeypatch.setattr(Dataset, "by_entry", counting_by_entry)
         truths = make_problem([10, 12], [1, 2], seed=16)
-        cfg = run_config(truths, sigma=0.1, budget=300, schedule=schedule, estimator=FAST_CFG)
+        cfg = run_config(truths, sigma=0.1, budget=300, schedule=Discretized(8, 10),
+                         estimator=FAST_CFG)
         _, trace = malocate_run(truths, cfg, P1, rng=14)
         assert len(lengths) == len(trace.events) > 3
         assert groupings == lengths
