@@ -7,9 +7,12 @@ predicate on fixed tiny configs, one PASS or FAIL line per entry of
 suite calls the same predicates on fixed inputs and under ``hypothesis``.
 
 The predicates are written independently of the engine.
-``trace_violation`` restates the batch and selection laws from the
-config alone and calls none of the engine's schedule or chooser code, so
-a fault in the run loop cannot hide in its own check.
+``trace_violation`` restates the run loop's laws from the config alone:
+the budget law (no event after the budget is spent), the batch and
+selection laws, and the loss law (each event's losses are the weighted
+sum and maximum of its errors). It calls none of the engine's schedule,
+chooser or loss code, so a fault in the run loop cannot hide in its own
+check.
 """
 from __future__ import annotations
 
@@ -22,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .error_bounds import split_dataset
 from .estimators import (
     EstimatorConfig,
     _svt_step,
@@ -58,8 +62,8 @@ __all__ = [
 def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTrace) -> str | None:
     """The run loop's laws on one trace of ``strategy`` under ``cfg``.
 
-    - Budget: t = sum of T_k <= budget, all spent unless the run ended
-      early with every arm at its cap d^2.
+    - Budget: no event comes after the budget is spent, and it is all
+      spent unless the run ended early with every arm at its cap d^2.
     - Batches: an arm's first is ``init_multiplier * d``, a later one
       ceil(free / num_batches), free being the budget after every first
       batch clamped to its cap. Each is clamped to the budget left and to
@@ -73,6 +77,8 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
     - Bands never rise, and an event changes no T_k, B_k, true error or
       estimate of an arm it did not choose; floats are compared bit for
       bit, which ``write_metrics_csv`` relies on.
+    - Losses: with e_k = true_err_k d_k^2, an event's loss_p1 is
+      sum w_k e_k and its loss_pinf max w_k e_k, within 1e-12 relative.
     """
     K, budget, schedule = cfg.num_matrices, cfg.budget, cfg.schedule
     caps = [d * d for d in cfg.dims]
@@ -86,6 +92,8 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
     T, B, H, spent, last = [0] * K, [math.inf] * K, [False] * K, 0, -1
     E = list(trace.events[0].true_errors) if trace.events else []
     for j, event in enumerate(trace.events):
+        if spent >= budget:
+            return f"event {j} comes after the budget {budget} is spent"
         pos = event.chosen - 1
         below_cap = [i for i in range(K) if T[i] < caps[i]]
         if not below_cap:
@@ -124,6 +132,11 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
             now = (event.b_values[i].hex(), event.true_errors[i].hex(), event.estimated[i])
             if i != pos and now != (B[i].hex(), E[i].hex(), H[i]):
                 return f"event {j} changed arm {i}, which it did not choose"
+        weighted = [w * e * d * d for w, e, d in zip(weights, event.true_errors, cfg.dims)]
+        for name, got, expect in (("loss_p1", event.loss_p1, sum(weighted)),
+                                  ("loss_pinf", event.loss_pinf, max(weighted))):
+            if not abs(got - expect) <= 1e-12 * expect:  # NaN fails too
+                return f"event {j} has {name} = {got!r}, the weighted errors give {expect!r}"
         T, B, E, H = grown, list(event.b_values), list(event.true_errors), list(event.estimated)
         spent, last = event.t, pos
     if trace.ended_early and T != caps:
@@ -178,15 +191,16 @@ def svt_violation(m: np.ndarray, theta: float) -> str | None:
     return None
 
 
-def fit_violation(est, data, spec: MatrixSpec, cfg: EstimatorConfig) -> str | None:
-    """``est``, the accelerated fit of ``data`` under ``cfg``, against the
-    plain SoftImpute loop run to the same ``cfg.tol``.
+def fit_violation(est, train, spec: MatrixSpec, cfg: EstimatorConfig) -> str | None:
+    """``est``, the accelerated fit of ``train`` under ``cfg``, against the
+    plain SoftImpute loop run to the same ``cfg.tol``. ``train`` is a
+    split's train part, the one input both fits take.
 
     Both stop before ``cfg.max_iters``, agree within 1e-8 relative, and the
     fit takes fewer steps whenever the plain loop took 100 or more (below
     that a dropped momentum step can cost the fit a few more).
     """
-    z, plain_steps = plain_soft_impute(data, spec, cfg)
+    z, plain_steps = plain_soft_impute(train, spec, cfg)
     if not est.converged or plain_steps >= cfg.max_iters:
         return f"no convergence: the fit took {est.iterations} steps, the plain loop {plain_steps}"
     err = float(np.linalg.norm(est.values - z)) / max(float(np.linalg.norm(z)), 1.0)
@@ -222,7 +236,12 @@ def trace_rows(result: ExperimentResult) -> list[tuple]:
 
 
 def csv_violation(result: ExperimentResult) -> str | None:
-    """metrics.csv reads back as every trace value, exactly, and the result aggregates."""
+    """The result holds one job per (rep, strategy), in that order, its
+    metrics.csv reads back as every trace value, exactly, and it aggregates."""
+    cfg = result.cfg
+    jobs = [(rep, strategy) for rep, strategy, _ in result.jobs]
+    if jobs != [(rep, strategy) for rep in range(cfg.reps) for strategy in cfg.strategies]:
+        return "the jobs are not one per (rep, strategy), in (rep, strategy) order"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "metrics.csv")
         write_metrics_csv(result, path)
@@ -336,11 +355,13 @@ def check_svt_kernel() -> str | None:
 
 
 def check_fit_fixed_point() -> str | None:
-    # One fixed 30 x 30 rank-3 instance sampled at 20%, run to a tight tol.
+    # The train part of 180 draws (20% of d^2) of one fixed 30 x 30 rank-3
+    # instance, run to a tight tol.
     spec = MatrixSpec(index=1, dim=30, rank_bound=3)
-    data = new_samples(generate_ground_truth(spec, 3), 0.1, 180, named_stream(3))
+    draws = new_samples(generate_ground_truth(spec, 3), 0.1, 180, named_stream(3))
+    train = split_dataset(draws)[0]
     cfg = EstimatorConfig(max_iters=5000, tol=1e-11)
-    return fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg)
+    return fit_violation(soft_impute_fit(train, spec, cfg), train, spec, cfg)
 
 
 # One line per predicate. A check that raises fails its own line only.

@@ -158,19 +158,14 @@ def gram_svt(m: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
     return (u * shrunk) @ (v @ wt.T).T, shrunk
 
 
-def _averaged_targets(train: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """The observed cells, each once and in increasing order, and the mean
-    of each cell's observations."""
-    obs = train.cells
-    if (obs[1:] > obs[:-1]).all():
-        # Each entry once and in order, as in a split's train part. 0.0 + v
-        # is the one-look mean bit for bit, -0.0 included, as below.
-        return obs, train.values + 0.0
-    order, counts = train.by_entry()
-    first = order[np.cumsum(counts) - counts]
-    # bincount adds up each entry's values in arrival order, from 0.0.
-    sums = np.bincount(np.repeat(np.arange(len(counts)), counts), weights=train.values[order])
-    return obs[first], sums / counts
+def _check_train(train: Dataset) -> None:
+    """Reject a training set that is not a split's train part: one that is
+    empty, or whose cells do not strictly increase."""
+    if len(train) == 0:
+        raise ValueError("cannot fit on an empty training set")
+    cells = train.cells
+    if not (cells[1:] > cells[:-1]).all():
+        raise ValueError("training cells must strictly increase, as in a split's train part")
 
 
 def _frobenius(x: np.ndarray) -> float:
@@ -185,9 +180,11 @@ def soft_impute_fit(
     cfg: EstimatorConfig,
     warm: MatrixEstimate | None = None,
 ) -> MatrixEstimate:
-    """Fit a completion estimate on one training sample.
+    """Fit a completion estimate on the train part of a split.
 
-    Repeated observations of an entry are averaged first. The iteration
+    ``train`` is ``split_dataset``'s train part: each observed cell once,
+    cells strictly increasing; any other input, an empty one included,
+    raises ``ValueError``. Its values are the targets. The iteration
     minimizes 0.5 ||P_Omega(targets - Z)||^2 + theta ||Z||_* by
 
         Y <- Z + ((t_k - 1) / t_{k+1}) (Z - Z_prev),
@@ -209,10 +206,9 @@ def soft_impute_fit(
     relative Frobenius change is below ``cfg.tol`` (``converged``) or
     after ``cfg.max_iters`` steps; returns the last accepted iterate, unclamped.
     """
-    if len(train) == 0:
-        raise ValueError("cannot fit on an empty training set")
+    _check_train(train)
     d = spec.dim
-    obs, targets = _averaged_targets(train)  # flat indices into C-ordered d x d arrays
+    obs, targets = train.cells, train.values  # flat indices into C-ordered d x d arrays
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
 
     z = np.zeros((d, d)) if warm is None else warm.values.astype(np.float64, copy=True)
@@ -261,11 +257,13 @@ def plain_soft_impute(
     """The unaccelerated SoftImpute loop Z <- svt(fill(Z), theta), with
     the dense ``svt``, from zero, stopping on the same tol
     rule as ``soft_impute_fit``: the reference the fit is tested against.
+    It takes the same input, a split's train part, and rejects any other.
 
     Returns the last iterate and the number of steps taken.
     """
+    _check_train(train)
     d = spec.dim
-    obs, targets = _averaged_targets(train)
+    obs, targets = train.cells, train.values
     theta = d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale)
     z = np.zeros((d, d))
     for steps in range(1, cfg.max_iters + 1):

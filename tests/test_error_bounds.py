@@ -17,7 +17,6 @@ from amcsim import (
     new_samples,
     split_dataset,
 )
-from amcsim.estimators import _averaged_targets
 
 
 def as_estimate(values):
@@ -111,7 +110,7 @@ class TestPairDoubleSamples:
 
 
 class TestGroupingByEntry:
-    """Every grouping by entry matches a plain dict walk of the observations."""
+    """The split's grouping by entry matches a plain dict walk of the observations."""
 
     @settings(max_examples=100, deadline=None)
     @given(crowded_datasets())
@@ -124,21 +123,6 @@ class TestGroupingByEntry:
     @given(crowded_datasets())
     def test_paired_arrays(self, data):
         check_pairs(data)
-
-    @settings(max_examples=100, deadline=None)
-    @given(crowded_datasets())
-    def test_averaged_targets(self, data):
-        # The train part of a split holds each entry once, in order.
-        for part in (data, split_dataset(data)[0]):
-            values = part.values.tolist()
-            expected = []
-            for cell, ps in positions_by_entry(part).items():
-                total = 0.0
-                for p in ps:
-                    total += values[p]
-                expected.append((cell, total / len(ps)))
-            got = _averaged_targets(part)
-            assert list(zip(*(a.tolist() for a in got))) == expected
 
 
 def r_n(est, entries):

@@ -30,6 +30,7 @@ from amcsim import (
     write_metrics_csv,
 )
 from amcsim.checks import (
+    _tiny_config,
     csv_violation,
     determinism_violation,
     paired_violation,
@@ -79,12 +80,6 @@ def read_rows(path):
     header, rows = read_metrics(path)
     assert header == METRICS_HEADER.split(",")
     return [MetricsRow(*row) for row in rows]
-
-
-def run_rows(cfg, out):
-    """Run ``cfg`` with output to ``out`` and read its metrics.csv back."""
-    run_experiment(cfg, str(out))
-    return read_rows(out / "metrics.csv")
 
 
 def csv_writer_bytes(result):
@@ -248,38 +243,6 @@ class TestPresets:
 
 
 class TestRunExperiment:
-    def test_row_partition(self, tmp_path):
-        cfg = tiny_config()
-        rows = run_rows(cfg, tmp_path)
-        groups = {}
-        for r in rows:
-            groups.setdefault((r.rep, r.strategy, r.p), []).append(r)
-        assert len(groups) == cfg.reps * len(cfg.strategies)
-        K = cfg.num_matrices
-        for key, group in groups.items():
-            assert len(group) % K == 0
-            assert len(group) // K >= K  # at least one event per arm
-
-    def test_event_time_monotone(self, tmp_path):
-        rows = run_rows(tiny_config(), tmp_path)
-        per_group = {}
-        for r in rows:
-            per_group.setdefault((r.rep, r.strategy, r.p, r.k), []).append(r.t)
-        for times in per_group.values():
-            assert all(a < b for a, b in zip(times, times[1:]))
-
-    def test_losses_match_true_errors(self, tmp_path):
-        cfg = tiny_config(reps=1)
-        rows = run_rows(cfg, tmp_path)
-        dims = {k + 1: d for k, d in enumerate(cfg.dims)}
-        by_event = {}
-        for r in rows:
-            by_event.setdefault((r.strategy, r.p, r.t), []).append(r)
-        for group in by_event.values():
-            errors = [r.true_err_k * dims[r.k] ** 2 for r in group]
-            assert group[0].loss_p1 == pytest.approx(sum(errors), rel=1e-12)
-            assert group[0].loss_pinf == pytest.approx(max(errors), rel=1e-12)
-
     def test_threads_do_not_change_rows(self, tmp_path):
         one, three = tmp_path / "one", tmp_path / "three"
         run_experiment(tiny_config(), str(one))
@@ -322,6 +285,25 @@ class TestMetricsCsv:
         result = edited_arm_fields(one_rep_result, edit)
         for _, strategy, trace in result.jobs:
             assert trace_violation(result.cfg, strategy, trace) is not None, strategy.label
+
+    @pytest.mark.parametrize("loss", ["loss_p1", "loss_pinf"])
+    def test_trace_law_catches_doubled_losses(self, one_rep_result, loss):
+        for _, strategy, trace in one_rep_result.jobs:
+            events = [replace(event, **{loss: 2 * getattr(event, loss)}) for event in trace.events]
+            failure = trace_violation(one_rep_result.cfg, strategy, replace(trace, events=events))
+            assert failure.startswith(f"event 0 has {loss} = "), strategy.label
+
+    def test_trace_law_catches_an_event_after_the_budget(self):
+        # The last batch of this run is cut to the budget left.
+        result = run_experiment(_tiny_config(budget=905, reps=1))
+        for _, strategy, trace in result.jobs:
+            events = [*trace.events, trace.events[-1]]
+            failure = trace_violation(result.cfg, strategy, replace(trace, events=events))
+            assert failure == f"event {len(trace.events)} comes after the budget 905 is spent"
+
+    def test_csv_law_catches_a_missing_job(self, one_rep_result):
+        result = replace(one_rep_result, jobs=one_rep_result.jobs[:-1])
+        assert csv_violation(result).startswith("the jobs are not one per")
 
     def test_header_schema(self, tmp_path, one_rep_result):
         path = tmp_path / "metrics.csv"

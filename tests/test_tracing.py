@@ -30,6 +30,7 @@ from amcsim import (
     named_stream,
     new_samples,
     soft_impute_fit,
+    split_dataset,
 )
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -113,7 +114,8 @@ def test_svd_calls_are_fit_iterations(monkeypatch, d):
     # second step, the first with momentum, is pushed far from the data
     # here, so the fit drops it.
     spec = MatrixSpec(index=1, dim=d, rank_bound=2)
-    data = new_samples(generate_ground_truth(spec, 5), 0.1, d * d // 2, named_stream(5, d))
+    draws = new_samples(generate_ground_truth(spec, 5), 0.1, d * d // 2, named_stream(5, d))
+    train = split_dataset(draws)[0]
     svd, step = numpy.linalg.svd, estimators._svt_step
     svd_calls, steps = [], []
 
@@ -128,7 +130,7 @@ def test_svd_calls_are_fit_iterations(monkeypatch, d):
 
     monkeypatch.setattr(numpy.linalg, "svd", counted_svd)
     monkeypatch.setattr(estimators, "_svt_step", pushed_step)
-    est = soft_impute_fit(data, spec, EstimatorConfig())
+    est = soft_impute_fit(train, spec, EstimatorConfig())
     assert est.converged and est.iterations > 2
     assert len(svd_calls) == len(steps) == est.iterations
     # The dense route decomposes m itself, the Gram route m times the kept directions.
