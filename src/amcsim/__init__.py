@@ -57,7 +57,6 @@ from .strategies import (
     RunTrace,
     StrategySpec,
     TraceEvent,
-    loss_from_errors,
     malocate_run,
     oracle_run,
     select_index,

@@ -53,18 +53,31 @@ def split_dataset(data: Dataset) -> tuple[Dataset, tuple[np.ndarray, ...]]:
     looks in arrival order. An entry seen m times yields floor(m/2)
     pairs; a leftover odd look is dropped. Both come from one grouping.
     """
-    if len(data) == 0:
+    n = len(data)
+    if n == 0:
         raise ValueError("cannot split an empty dataset")
-    order, counts = data.by_entry()
+    # The positions grouped by entry, cells in increasing order and each
+    # entry's looks in arrival order. Ties broken by position make every
+    # key unique, so the default sort keeps arrival order (a stable sort
+    # is several times slower). cells * n stays in int64 while
+    # (d^2) * n < 2^63.
+    order = np.argsort(data.cells * n + np.arange(n))
+    key = data.cells[order]
+    # bounds: the first grouped position of each entry, then n.
+    edge = np.ones(n + 1, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=edge[1:-1])
+    bounds = np.flatnonzero(edge)
+    counts = bounds[1:] - bounds[:-1]
     # Per grouped position, its entry's count and which look at it it is;
     # consecutive grouped positions of an entry are consecutive looks at it.
     seen = np.repeat(counts, counts)
-    offsets = np.arange(len(order)) - np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = np.arange(n) - np.repeat(bounds[:-1], counts)
     first = (offsets % 2 == 0) & (offsets + 1 < seen)
     idx1 = order[first]
     idx2 = order[np.flatnonzero(first) + 1]
     pairs = (data.cells[idx1], data.values[idx1], data.values[idx2])
-    return data.take(order[seen == 1]), pairs
+    once = order[seen == 1]
+    return Dataset(data.cells[once], data.values[once]), pairs
 
 
 def b_value(r_n: float, n_pairs: int, dim: int, bound: float, scale: float = 8.0) -> float:

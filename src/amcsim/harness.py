@@ -198,8 +198,6 @@ def write_metrics_csv(result: ExperimentResult, path: str) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(METRICS_HEADER + "\n")
         for rep, strategy, trace in result.jobs:
-            if not trace.events:
-                continue
             buf = io.StringIO()
             # "\r\n" makes the writer quote a '\r' too, where a reader ends a row.
             csv.writer(buf, lineterminator="\r\n").writerow(

@@ -66,13 +66,9 @@ class GroundTruth:
 
 @dataclass
 class Dataset:
-    """Ordered observations of one d x d matrix, stored as flat arrays:
-    each one's row-major cell r * d + c in ``cells``, its value in ``values``.
-
-    Arrival order is significant: ``split_dataset`` pairs an entry's
-    looks in it, from one ``by_entry`` grouping that also gives the train
-    part, each entry seen once with cells in increasing order.
-    """
+    """Observations of one d x d matrix in arrival order, stored as flat
+    arrays: each one's row-major cell r * d + c in ``cells``, its value in
+    ``values``."""
 
     cells: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.float64))
@@ -85,29 +81,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def by_entry(self) -> tuple[np.ndarray, np.ndarray]:
-        """Observation positions grouped by entry, and each entry's count.
-
-        The positions are listed entry by entry with cells in increasing
-        order and, within an entry, in arrival order; ``counts`` holds
-        one count per entry in the same order.
-        """
-        n = len(self)
-        # Ties broken by position make every key unique, so the default
-        # sort keeps arrival order (a stable sort is several times slower).
-        # cells * n stays in int64 while (d^2) * n < 2^63.
-        order = np.argsort(self.cells * n + np.arange(n))
-        key = self.cells[order]
-        # bounds: the first grouped position of each entry, then n.
-        edge = np.ones(n + 1, dtype=bool)
-        np.not_equal(key[1:], key[:-1], out=edge[1:-1])
-        bounds = np.flatnonzero(edge)
-        return order, bounds[1:] - bounds[:-1]
-
-    def take(self, idx: np.ndarray) -> "Dataset":
-        """Sub-dataset at positions ``idx``, preserving the given order."""
-        return Dataset(self.cells[idx], self.values[idx])
 
     def extend(self, other: "Dataset") -> "Dataset":
         """New dataset with ``other`` appended after ``self``."""

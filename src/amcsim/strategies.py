@@ -39,7 +39,6 @@ __all__ = [
     "RunTrace",
     "TraceEvent",
     "select_index",
-    "loss_from_errors",
     "malocate_run",
     "uniform_run",
     "oracle_run",
@@ -283,15 +282,6 @@ def select_index(states: list[ArmState], p: float, weights=None, bands=None) -> 
     return _pick(states, score)
 
 
-def loss_from_errors(errors, p: float, weights=None) -> float:
-    """Weighted p-loss of per-matrix squared errors; ``weights`` default to one."""
-    e = np.asarray(errors, dtype=np.float64)
-    if math.isinf(p):
-        return float(np.max(e if weights is None else np.asarray(weights) * e))
-    ep = e**p
-    return float(np.sum(ep if weights is None else np.asarray(weights) * ep) ** (1.0 / p))
-
-
 def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
     """Fit on the train part, clamp to [-A, A], band on the pairs, accept if not worse."""
     train, pairs = split_dataset(state.data)
@@ -318,7 +308,8 @@ def _run(
     if [gt.spec.dim for gt in problem] != list(cfg.dims):
         raise ValueError("problem dims must match cfg.dims")
     K = len(problem)
-    weights, schedule, budget = strategy.weights, cfg.schedule, cfg.budget
+    schedule, budget = cfg.schedule, cfg.budget
+    weights = None if strategy.weights is None else np.asarray(strategy.weights)
     key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
     streams = [named_stream(*key, pos) for pos in range(K)]
     states = [ArmState(truth=gt) for gt in problem]
@@ -363,6 +354,9 @@ def _run(
         b_values[pos] = state.band
         true_errors[pos] = state.sq_err / state.cap
         estimated[pos] = state.current is not None
+        # The event's losses, from the weighted errors. numpy's sum adds in
+        # another order than Python's, and the golden files hold its bits.
+        e = np.asarray(errors) if weights is None else weights * np.asarray(errors)
         trace.events.append(
             TraceEvent(
                 t=spent,
@@ -371,8 +365,8 @@ def _run(
                 t_values=tuple(t_values),
                 true_errors=tuple(true_errors),
                 estimated=tuple(estimated),
-                loss_p1=loss_from_errors(errors, 1, weights),
-                loss_pinf=loss_from_errors(errors, math.inf, weights),
+                loss_p1=float(e.sum()),
+                loss_pinf=float(e.max()),
             )
         )
     return states, trace

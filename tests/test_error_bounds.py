@@ -41,7 +41,7 @@ def crowded_datasets(draw):
     return Dataset(cells=draw(cells), values=draw(values))
 
 
-def positions_by_entry(data):
+def looks_by_cell(data):
     """{cell: positions in arrival order}, cells in increasing order."""
     groups = {}
     for pos, cell in enumerate(data.cells.tolist()):
@@ -59,7 +59,7 @@ def check_pairs(data):
     values = data.values.tolist()
     expected = [
         (cell, values[ps[k]], values[ps[k + 1]])
-        for cell, ps in positions_by_entry(data).items()
+        for cell, ps in looks_by_cell(data).items()
         for k in range(0, len(ps) - 1, 2)
     ]
     pairs = split_dataset(data)[1]
@@ -70,7 +70,7 @@ def check_split(data):
     """The split matches a dict walk of ``data`` by entry: the train part
     is the entries seen once, and the eval pairs are as ``check_pairs`` says."""
     cells, values = data.cells.tolist(), data.values.tolist()
-    once = [ps[0] for ps in positions_by_entry(data).values() if len(ps) == 1]
+    once = [ps[0] for ps in looks_by_cell(data).values() if len(ps) == 1]
     assert_same(split_dataset(data)[0], *([xs[p] for p in once] for xs in (cells, values)))
     check_pairs(data)
 

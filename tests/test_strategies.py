@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import amcsim.strategies as strategies
 from amcsim import (
     ArmState,
-    Dataset,
     Discretized,
     EstimatorConfig,
     ExperimentConfig,
@@ -16,13 +15,12 @@ from amcsim import (
     StrategySpec,
     estimate_error_bound,
     generate_ground_truth,
-    loss_from_errors,
     malocate_run,
     oracle_run,
     select_index,
     uniform_run,
 )
-from amcsim.checks import loss_order_violation, scale_violation, trace_violation
+from amcsim.checks import scale_violation, trace_violation
 
 FAST_CFG = EstimatorConfig(max_iters=60, tol=1e-4)
 P1 = StrategySpec("malocate", p=1.0)
@@ -107,23 +105,6 @@ class TestSelectIndex:
 
 
 class TestComputeLoss:
-    def test_sum(self):
-        assert loss_from_errors([4.0, 9.0], 1.0) == pytest.approx(13.0)
-
-    def test_max(self):
-        assert loss_from_errors([4.0, 9.0], math.inf) == pytest.approx(9.0)
-
-    def test_p_two(self):
-        assert loss_from_errors([4.0, 9.0], 2.0) == pytest.approx(math.sqrt(97))
-
-    def test_weights(self):
-        assert loss_from_errors([4.0, 9.0], 1.0, (2.0, 1.0)) == pytest.approx(17.0)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=5))
-    def test_monotone_in_p(self, errors):
-        assert loss_order_violation(errors) is None
-
     def test_missing_estimate_counts_as_zero(self):
         state = arm(6, math.inf, 0)
         assert state.current is None
@@ -243,26 +224,19 @@ class TestInitClampedToCap:
 
 class TestRefitData:
     def test_refits_once_on_every_observation(self, monkeypatch):
-        # Each step refits once, on every observation of the chosen arm,
-        # and groups them by entry once.
-        split, by_entry, lengths, groupings = strategies.split_dataset, Dataset.by_entry, [], []
+        # Each step refits once, on every observation of the chosen arm.
+        split, lengths = strategies.split_dataset, []
 
         def recording_split(data):
             lengths.append(len(data))
             return split(data)
 
-        def counting_by_entry(data):
-            groupings.append(len(data))
-            return by_entry(data)
-
         monkeypatch.setattr(strategies, "split_dataset", recording_split)
-        monkeypatch.setattr(Dataset, "by_entry", counting_by_entry)
         truths = make_problem([10, 12], [1, 2], seed=16)
         cfg = run_config(truths, sigma=0.1, budget=300, schedule=Discretized(8, 10),
                          estimator=FAST_CFG)
         _, trace = malocate_run(truths, cfg, P1, rng=14)
         assert len(lengths) == len(trace.events) > 3
-        assert groupings == lengths
         for n, event in zip(lengths, trace.events):
             assert n == event.t_values[event.chosen - 1]
 
