@@ -51,7 +51,6 @@ from .problem import (
     new_samples,
 )
 from .strategies import (
-    ArmState,
     Discretized,
     ExperimentConfig,
     RunTrace,

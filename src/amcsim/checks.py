@@ -43,7 +43,6 @@ from .harness import (
 )
 from .problem import MatrixSpec, generate_ground_truth, named_stream, new_samples
 from .strategies import (
-    ArmState,
     Discretized,
     ExperimentConfig,
     RunTrace,
@@ -145,21 +144,23 @@ def trace_violation(cfg: ExperimentConfig, strategy: StrategySpec, trace: RunTra
     return None
 
 
-def scale_violation(states: list[ArmState], p: float, c: float) -> str | None:
+def scale_violation(dims, spent, bands, p: float, c: float) -> str | None:
     """``select_index`` picks the same arm after every band is scaled by c > 0.
 
-    Holds vacuously when the two largest scores d^2 B T^(-1/p) lie
-    within 1e-12 relative, where rounding may flip the pick.
+    Arm ``pos`` has dimension ``dims[pos]``, ``spent[pos]`` samples and
+    band ``bands[pos]``. Holds vacuously when the two largest scores
+    d^2 B T^(-1/p) lie within 1e-12 relative, where rounding may flip the
+    pick.
     """
     scores = sorted(
-        (s.dim * s.dim * s.band * (1.0 if math.isinf(p) else s.samples_spent ** (-1.0 / p))
-         for s in states if not s.at_cap),
+        (d * d * b * (1.0 if math.isinf(p) else t ** (-1.0 / p))
+         for d, t, b in zip(dims, spent, bands) if t < d * d),
         reverse=True,
     )
     if len(scores) > 1 and scores[0] - scores[1] <= 1e-12 * scores[0]:
         return None
-    scaled = [ArmState(s.truth, s.samples_spent, c * s.band) for s in states]
-    before, after = select_index(states, p), select_index(scaled, p)
+    scaled = [c * b for b in bands]
+    before, after = select_index(dims, spent, bands, p), select_index(dims, spent, scaled, p)
     if after != before:
         return f"the pick changed from arm {before} to arm {after} under B -> {c:.3g} B at p={p}"
     return None
@@ -314,14 +315,12 @@ def check_run_loop_laws() -> str | None:
 
 def check_argmax_scale_invariance() -> str | None:
     rng = np.random.default_rng(0)
-    truths = [generate_ground_truth(s, (1, 2, 0, i)) for i, s in enumerate(_tiny_config().specs())]
+    dims = _tiny_config().dims
     for trial in range(200):
-        states = [
-            ArmState(gt, int(rng.integers(1, gt.spec.dim**2)), float(rng.uniform(0.01, 5.0)))
-            for gt in truths
-        ]
+        draws = [(int(rng.integers(1, d * d)), float(rng.uniform(0.01, 5.0))) for d in dims]
+        spent, bands = zip(*draws)
         for p in (1.0, 2.0, math.inf):
-            failure = scale_violation(states, p, float(rng.uniform(0.1, 10.0)))
+            failure = scale_violation(dims, spent, bands, p, float(rng.uniform(0.1, 10.0)))
             if failure is not None:
                 return failure
     return None

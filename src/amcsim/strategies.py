@@ -13,6 +13,10 @@ error band on it, and accepts it unless its band is worse than the
 current one. An equal band, inf included, is accepted, so an arm's
 first refit is kept even when its split has no pairs.
 
+The run loop keeps each arm's T, band, true error and whether it holds
+an estimate once, as the columns the trace records, and the strategies
+choose from those columns alone.
+
 Streams: ``rng`` is an integer seed or a tuple key; matrix position
 ``pos`` draws its observations from ``named_stream(*key, pos)``, and an
 integer seed ``s`` is the key ``(s,)``.
@@ -22,7 +26,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -34,7 +37,6 @@ __all__ = [
     "StrategySpec",
     "ExperimentConfig",
     "TUNED_CONFIDENCE_SCALE",
-    "ArmState",
     "Discretized",
     "RunTrace",
     "TraceEvent",
@@ -182,46 +184,6 @@ class ExperimentConfig:
         ]
 
 
-@dataclass
-class ArmState:
-    """Per-matrix bookkeeping: samples spent, band, current estimate.
-
-    ``data`` is every observation of the arm so far, which each refit
-    splits.
-    ``sq_err`` is the squared Frobenius error of ``current`` against the
-    truth, the zero matrix standing in for a missing estimate. It is set
-    here and again by ``_refit`` whenever ``current`` changes.
-    """
-
-    truth: GroundTruth
-    samples_spent: int = 0
-    band: float = math.inf
-    current: MatrixEstimate | None = None
-    data: Dataset = field(default_factory=Dataset)
-    sq_err: float = field(init=False)
-
-    def __post_init__(self):
-        self.sq_err = float(np.sum(self.truth.entries * self.truth.entries))
-
-    @property
-    def dim(self) -> int:
-        return self.truth.spec.dim
-
-    @cached_property
-    def cap(self) -> int:
-        """Observation cap d^2: no matrix is ever sampled more than this.
-
-        Every batch, the initialization included, is clamped to
-        ``cap - samples_spent``; once every arm is at its cap the run
-        stops and sets ``RunTrace.ended_early``.
-        """
-        return self.dim * self.dim
-
-    @property
-    def at_cap(self) -> bool:
-        return self.samples_spent >= self.cap
-
-
 @dataclass(frozen=True)
 class TraceEvent:
     """Snapshot taken after one batch-and-refit step. ``estimated`` says which
@@ -246,64 +208,71 @@ class RunTrace:
     ended_early: bool = False
 
 
-def _pick(states: list[ArmState], score) -> int:
-    """Among arms below their cap, the one with the largest ``score(pos, state)``.
+def _pick(dims, spent, score) -> int:
+    """Among arms below their cap d^2, the one with the largest ``score(pos)``.
 
-    Ties go to the lowest position, so an infinite score means "choose first".
+    ``dims`` and ``spent`` give each arm's d and samples T. Ties go to the
+    lowest position, so an infinite score means "choose first".
     """
-    available = [pos for pos, s in enumerate(states) if not s.at_cap]
+    available = [pos for pos, (d, t) in enumerate(zip(dims, spent)) if t < d * d]
     if not available:
         raise ValueError("every arm is at its observation cap")
-    return max(available, key=lambda pos: score(pos, states[pos]))
+    return max(available, key=score)
 
 
-def select_index(states: list[ArmState], p: float, weights=None, bands=None) -> int:
+def select_index(dims, spent, bands, p: float, weights=None) -> int:
     """Position of the arm the adaptive criterion for the p-loss picks next.
 
-    Arms at their observation cap are excluded. The score of an arm is
-    w^(1/p) * d^2 * B * T^(-1/p) for finite p and w * d^2 * B for
-    p = inf, with the arm's weight w from ``weights`` (one per arm,
-    default all one) and its band B from ``bands`` (one per arm, default
-    each arm's ``band``). An infinite B (never successfully evaluated)
+    Arm ``pos`` has dimension d = ``dims[pos]``, T = ``spent[pos]``
+    samples and band B = ``bands[pos]``; arms with T at the cap d^2 are
+    excluded. Its score is w^(1/p) * d^2 * B * T^(-1/p) for finite p and
+    w * d^2 * B for p = inf, with its weight w from ``weights`` (one per
+    arm, default all one). An infinite B (never successfully evaluated)
     scores inf, so such an arm is chosen first; ties break to the lowest
     position. Raises ``ValueError`` when every arm is at its cap.
     """
-    bands = [s.band for s in states] if bands is None else bands
 
-    def score(pos: int, s: ArmState) -> float:
+    def score(pos: int) -> float:
         if math.isinf(bands[pos]):  # before T^(-1/p): T may be 0
             return math.inf
         w = 1.0 if weights is None else weights[pos]
-        d2b = s.dim * s.dim * bands[pos]
+        d2b = dims[pos] * dims[pos] * bands[pos]
         if math.isinf(p):
             return w * d2b
-        return w ** (1.0 / p) * d2b * s.samples_spent ** (-1.0 / p)
+        return w ** (1.0 / p) * d2b * spent[pos] ** (-1.0 / p)
 
-    return _pick(states, score)
+    return _pick(dims, spent, score)
 
 
-def _refit(state: ArmState, cfg: ExperimentConfig) -> None:
-    """Fit on the train part, clamp to [-A, A], band on the pairs, accept if not worse."""
-    train, pairs = split_dataset(state.data)
+def _refit(
+    spec: MatrixSpec, data: Dataset, warm: MatrixEstimate | None, cfg: ExperimentConfig
+) -> tuple[MatrixEstimate, float] | None:
+    """Split ``data``, fit its train part from ``warm``, clamp to [-A, A] and
+    band the clamped fit on the split's pairs.
+
+    Returns the estimate and its band, or None when the train part is
+    empty. Whether the fit is kept is the run loop's decision.
+    """
+    train, pairs = split_dataset(data)
     if len(train) == 0:
-        return
-    matrix = state.truth.spec
-    est = soft_impute_fit(train, matrix, cfg.estimator, warm=state.current)
-    np.clip(est.values, -matrix.bound, matrix.bound, out=est.values)
-    bundle = estimate_error_bound(est, pairs, matrix.dim, matrix.bound, cfg.confidence_scale)
-    if bundle.b <= state.band:
-        diff = est.values - state.truth.entries
-        state.current = est
-        state.band = bundle.b
-        state.sq_err = float(np.sum(diff * diff))
+        return None
+    est = soft_impute_fit(train, spec, cfg.estimator, warm=warm)
+    np.clip(est.values, -spec.bound, spec.bound, out=est.values)
+    bundle = estimate_error_bound(est, pairs, spec.dim, spec.bound, cfg.confidence_scale)
+    return est, bundle.b
 
 
 def _run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng, chooser
-) -> tuple[list[ArmState], RunTrace]:
+) -> tuple[list[MatrixEstimate | None], RunTrace]:
     """Spend ``cfg.budget`` on ``problem``; ``chooser`` names each next arm.
 
-    Returns the arm states as the run left them, and the trace.
+    Each arm's state is its observations, its current estimate, its
+    squared Frobenius error and the trace's four columns: T, B, the true
+    per-entry error and whether it holds an estimate. The chooser is
+    called as ``chooser(t_values, b_values, true_errors, estimated)``, so
+    it reads exactly what each event records. Returns each arm's estimate
+    as the run left it (None for an arm never fitted) and the trace.
     """
     if [gt.spec.dim for gt in problem] != list(cfg.dims):
         raise ValueError("problem dims must match cfg.dims")
@@ -312,7 +281,6 @@ def _run(
     weights = None if strategy.weights is None else np.asarray(strategy.weights)
     key = (int(rng),) if isinstance(rng, (int, np.integer)) else tuple(rng)
     streams = [named_stream(*key, pos) for pos in range(K)]
-    states = [ArmState(truth=gt) for gt in problem]
     trace = RunTrace(
         truth_hashes=tuple(
             hashlib.sha256(np.ascontiguousarray(gt.entries).tobytes()).hexdigest()
@@ -321,46 +289,51 @@ def _run(
     )
 
     # An initialization pass gives the arms, in order, their first batch
-    # of ``init_multiplier * d`` clamped to the cap; then the chooser
+    # of ``init_multiplier * d`` clamped to the cap d^2; then the chooser
     # names each arm that gets one of the equal sub-batches of what the
     # budget leaves.
-    init = [min(schedule.init_multiplier * s.dim, s.cap) for s in states]
+    caps = [d * d for d in cfg.dims]
+    init = [min(schedule.init_multiplier * d, cap) for d, cap in zip(cfg.dims, caps)]
     sub_batch = math.ceil((budget - sum(init)) / schedule.num_batches)
-    # The trace's per-arm columns. A step changes the chosen arm's state
-    # only, so only its entries are rewritten.
-    errors = [s.sq_err for s in states]
-    t_values = [s.samples_spent for s in states]
-    b_values = [s.band for s in states]
-    true_errors = [e / s.cap for e, s in zip(errors, states)]
+    # A step changes the chosen arm's state only. An arm without an
+    # estimate has the zero matrix's error.
+    data = [Dataset() for _ in problem]
+    current: list[MatrixEstimate | None] = [None] * K
+    errors = [float(np.sum(gt.entries * gt.entries)) for gt in problem]
+    t_values = [0] * K
+    b_values = [math.inf] * K
+    true_errors = [e / cap for e, cap in zip(errors, caps)]
     estimated = [False] * K
     spent = 0
     init_order = iter(range(K))
     while spent < budget:
         pos = next(init_order, None)
         if pos is None:
-            if all(s.at_cap for s in states):
+            if t_values == caps:
                 trace.ended_early = True
                 break
-            pos = chooser(states)
-        state = states[pos]
-        t_k = state.samples_spent
-        batch = min(sub_batch if t_k else init[pos], budget - spent, state.cap - t_k)
-        state.data = state.data.extend(new_samples(state.truth, cfg.sigma, batch, streams[pos]))
-        state.samples_spent += batch
+            pos = chooser(t_values, b_values, true_errors, estimated)
+        t_k = t_values[pos]
+        batch = min(sub_batch if t_k else init[pos], budget - spent, caps[pos] - t_k)
+        truth = problem[pos]
+        data[pos] = data[pos].extend(new_samples(truth, cfg.sigma, batch, streams[pos]))
+        t_values[pos] = t_k + batch
         spent += batch
-        _refit(state, cfg)
-        errors[pos] = state.sq_err
-        t_values[pos] = state.samples_spent
-        b_values[pos] = state.band
-        true_errors[pos] = state.sq_err / state.cap
-        estimated[pos] = state.current is not None
+        # The accept guard: an equal band, inf included, is not worse.
+        fit = _refit(truth.spec, data[pos], current[pos], cfg)
+        if fit is not None and fit[1] <= b_values[pos]:
+            current[pos], b_values[pos] = fit
+            diff = current[pos].values - truth.entries
+            errors[pos] = float(np.sum(diff * diff))
+            true_errors[pos] = errors[pos] / caps[pos]
+            estimated[pos] = True
         # The event's losses, from the weighted errors. numpy's sum adds in
         # another order than Python's, and the golden files hold its bits.
         e = np.asarray(errors) if weights is None else weights * np.asarray(errors)
         trace.events.append(
             TraceEvent(
                 t=spent,
-                chosen=state.truth.spec.index,
+                chosen=truth.spec.index,
                 b_values=tuple(b_values),
                 t_values=tuple(t_values),
                 true_errors=tuple(true_errors),
@@ -369,29 +342,29 @@ def _run(
                 loss_pinf=float(e.max()),
             )
         )
-    return states, trace
+    return current, trace
 
 
 def malocate_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[ArmState], RunTrace]:
+) -> tuple[list[MatrixEstimate | None], RunTrace]:
     """Adaptive run: each step samples argmax of the band criterion for ``strategy.p``."""
 
-    def chooser(states: list[ArmState]) -> int:
-        return select_index(states, strategy.p, strategy.weights)
+    def chooser(t_values, b_values, true_errors, estimated) -> int:
+        return select_index(cfg.dims, t_values, b_values, strategy.p, strategy.weights)
 
     return _run(problem, cfg, strategy, rng, chooser=chooser)
 
 
 def uniform_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[ArmState], RunTrace]:
+) -> tuple[list[MatrixEstimate | None], RunTrace]:
     """Round-robin baseline under the same schedule and update guard."""
     cursor = 0
 
-    def chooser(states: list[ArmState]) -> int:
+    def chooser(t_values, b_values, true_errors, estimated) -> int:
         nonlocal cursor
-        pos = _pick(states, lambda i, s: -((i - cursor) % len(states)))
+        pos = _pick(cfg.dims, t_values, lambda i: -((i - cursor) % len(t_values)))
         cursor = pos + 1
         return pos
 
@@ -400,17 +373,17 @@ def uniform_run(
 
 def oracle_run(
     problem: list[GroundTruth], cfg: ExperimentConfig, strategy: StrategySpec, rng
-) -> tuple[list[ArmState], RunTrace]:
-    """Baseline: the adaptive rule with each arm's true per-entry error e / d^2 as B.
+) -> tuple[list[MatrixEstimate | None], RunTrace]:
+    """Baseline: the adaptive rule with each arm's true per-entry error as B.
 
-    Ground truth is read for selection only, never for fitting; e is the
-    arm's ``sq_err``, and an arm with no estimate yet scores inf. ``p`` is
-    ``strategy.p``, inf when that is None.
+    Ground truth is read for selection only, never for fitting; B is the
+    trace's ``true_errors`` entry, inf for an arm with no estimate yet.
+    ``p`` is ``strategy.p``, inf when that is None.
     """
     p = math.inf if strategy.p is None else strategy.p
 
-    def chooser(states: list[ArmState]) -> int:
-        errors = [math.inf if s.current is None else s.sq_err / s.cap for s in states]
-        return select_index(states, p, strategy.weights, errors)
+    def chooser(t_values, b_values, true_errors, estimated) -> int:
+        bands = [e if h else math.inf for e, h in zip(true_errors, estimated)]
+        return select_index(cfg.dims, t_values, bands, p, strategy.weights)
 
     return _run(problem, cfg, strategy, rng, chooser=chooser)

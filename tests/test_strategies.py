@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 import amcsim.strategies as strategies
 from amcsim import (
-    ArmState,
     Discretized,
     EstimatorConfig,
     ExperimentConfig,
@@ -48,42 +47,32 @@ def run_config(truths, **settings):
     )
 
 
-def arm(dim, band, spent, index=1, seed=0):
-    # dims chosen so the sample counts stay below the d^2 cap
-    spec = MatrixSpec(index=index, dim=dim, rank_bound=1)
-    truth = generate_ground_truth(spec, seed)
-    return ArmState(truth=truth, samples_spent=spent, band=band)
-
-
 class TestSelectIndex:
+    # Each case passes (dims, spent, bands); the spent counts stay below
+    # the d^2 caps unless a case says otherwise.
     def test_max_loss_criterion(self):
-        states = [arm(20, 0.5, 100, index=1), arm(20, 0.1, 100, index=2)]
-        assert select_index(states, math.inf) == 0
+        assert select_index((20, 20), (100, 100), (0.5, 0.1), math.inf) == 0
 
     def test_sum_loss_divides_by_samples(self):
-        states = [arm(30, 0.5, 100, index=1), arm(30, 0.1, 500, index=2)]
         # d^2 B / T scores: 4.5 vs 0.18
-        assert select_index(states, 1.0) == 0
+        assert select_index((30, 30), (100, 500), (0.5, 0.1), 1.0) == 0
 
     def test_uninitialized_first(self):
-        states = [arm(20, math.inf, 0, index=1), arm(20, 0.3, 100, index=2)]
         for p in (1.0, 2.0, math.inf):
-            assert select_index(states, p) == 0
+            assert select_index((20, 20), (0, 100), (math.inf, 0.3), p) == 0
 
     def test_capped_arms_excluded(self):
-        states = [arm(10, 5.0, 100, index=1), arm(10, 0.1, 50, index=2)]
         # arm 0 sits exactly at its d^2 = 100 cap despite the bigger band
-        assert select_index(states, math.inf) == 1
+        assert select_index((10, 10), (100, 50), (5.0, 0.1), math.inf) == 1
 
     def test_all_capped_raises(self):
-        states = [arm(5, 0.5, 25, index=1)]
         with pytest.raises(ValueError):
-            select_index(states, math.inf)
+            select_index((5,), (25,), (0.5,), math.inf)
 
     def test_weights_tilt_choice(self):
-        states = [arm(20, 0.5, 100, index=1), arm(20, 0.4, 100, index=2)]
-        assert select_index(states, math.inf) == 0
-        assert select_index(states, math.inf, (1.0, 10.0)) == 1
+        dims, spent, bands = (20, 20), (100, 100), (0.5, 0.4)
+        assert select_index(dims, spent, bands, math.inf) == 0
+        assert select_index(dims, spent, bands, math.inf, (1.0, 10.0)) == 1
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -93,23 +82,22 @@ class TestSelectIndex:
         c=st.floats(0.2, 5.0),
     )
     def test_scale_invariance(self, bands, spent, p, c):
-        states = [
-            arm(d, b, t, index=pos + 1, seed=pos)
-            for pos, (d, b, t) in enumerate(zip((8, 12), bands, spent))
-        ]
-        assert scale_violation(states, p, c) is None
+        assert scale_violation((8, 12), spent, bands, p, c) is None
 
     def test_tie_breaks_to_lowest(self):
-        states = [arm(20, 0.5, 100, index=1), arm(20, 0.5, 100, index=2)]
-        assert select_index(states, math.inf) == 0
+        assert select_index((20, 20), (100, 100), (0.5, 0.5), math.inf) == 0
 
 
 class TestComputeLoss:
     def test_missing_estimate_counts_as_zero(self):
-        state = arm(6, math.inf, 0)
-        assert state.current is None
-        expected = float(np.sum(state.truth.entries ** 2))
-        assert state.sq_err == expected
+        # The first event fits arm 0 only; arm 1 has no estimate, so its
+        # error is that of the zero matrix.
+        truths = make_problem([6, 8], [1, 1])
+        cfg = run_config(truths, budget=200, estimator=FAST_CFG)
+        _, trace = malocate_run(truths, cfg, P1, rng=0)
+        first = trace.events[0]
+        assert first.chosen == 1 and not first.estimated[1]
+        assert first.true_errors[1] == float(np.sum(truths[1].entries ** 2)) / 8**2
 
     def test_loss_spec_validation(self):
         with pytest.raises(ValueError):
@@ -193,9 +181,9 @@ class TestDiscretizedRuns:
             estimator=EstimatorConfig(lambda_scale=0.1, max_iters=3000, tol=1e-9),
             confidence_scale=0.0625,
         )
-        states, trace = malocate_run(truths, cfg, PINF, rng=7)
+        estimates, trace = malocate_run(truths, cfg, PINF, rng=7)
         errors = [
-            float(np.sum((states[i].current.values - gt.entries) ** 2)) / 30**2
+            float(np.sum((estimates[i].values - gt.entries) ** 2)) / 30**2
             for i, gt in enumerate(truths)
         ]
         assert max(errors) <= 1e-2
@@ -242,21 +230,21 @@ class TestRefitData:
 
     def test_clamp_precedes_the_band(self, monkeypatch):
         # The truths' entries have variance 1, so at A = 0.5 the fits
-        # overshoot the bound and the clamp binds. Each kept estimate lies
-        # in [-A, A], and its band is that of the clamped values on the
-        # pairs of its refit's split.
-        refit, split, pairs, kept = strategies._refit, strategies.split_dataset, [], []
+        # overshoot the bound and the clamp binds. Each fit a refit
+        # returns lies in [-A, A], and its band is that of the clamped
+        # values on the pairs of its split.
+        refit, split, pairs, fits = strategies._refit, strategies.split_dataset, [], []
 
         def recording_split(data):
             train, eval_pairs = split(data)
             pairs.append(eval_pairs)
             return train, eval_pairs
 
-        def recording_refit(state, cfg):
-            before = state.current
-            refit(state, cfg)
-            if state.current is not before:
-                kept.append((state.current.values, pairs[-1], state.dim, state.band))
+        def recording_refit(spec, data, warm, cfg):
+            fit = refit(spec, data, warm, cfg)
+            if fit is not None:
+                fits.append((fit[0].values, pairs[-1], spec.dim, fit[1]))
+            return fit
 
         monkeypatch.setattr(strategies, "split_dataset", recording_split)
         monkeypatch.setattr(strategies, "_refit", recording_refit)
@@ -264,9 +252,9 @@ class TestRefitData:
         cfg = run_config(truths, sigma=0.1, bound_a=0.5, budget=300,
                          schedule=Discretized(8, 10), estimator=FAST_CFG)
         malocate_run(truths, cfg, P1, rng=14)
-        assert len(kept) > 3
-        assert any(np.abs(values).max() == 0.5 for values, *_ in kept)
-        for values, eval_pairs, dim, band in kept:
+        assert len(fits) > 3
+        assert any(np.abs(values).max() == 0.5 for values, *_ in fits)
+        for values, eval_pairs, dim, band in fits:
             assert np.abs(values).max() <= 0.5
             est = MatrixEstimate(0, values)
             assert estimate_error_bound(est, eval_pairs, dim, 0.5, cfg.confidence_scale).b == band
@@ -386,5 +374,13 @@ class TestRunLoopProperty:
             (StrategySpec("oracle", p=p, weights=weights), oracle_run),
         ]
         for strategy, runner in runs:
-            _, trace = runner(truths, cfg, strategy, rng)
+            estimates, trace = runner(truths, cfg, strategy, rng)
             assert trace_violation(cfg, strategy, trace) is None
+            # The last event records each arm's final estimate: whether it
+            # has one, and its true error, the zero matrix standing in for
+            # a missing one.
+            last = trace.events[-1]
+            for k, (est, gt) in enumerate(zip(estimates, truths)):
+                diff = gt.entries if est is None else est.values - gt.entries
+                assert last.estimated[k] == (est is not None)
+                assert last.true_errors[k] == float(np.sum(diff * diff)) / gt.spec.dim**2
