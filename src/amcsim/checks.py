@@ -27,8 +27,10 @@ import numpy as np
 
 from .error_bounds import split_dataset
 from .estimators import (
+    _DENSE_MAX_DIM,
     EstimatorConfig,
     _svt_step,
+    lambda_for,
     plain_soft_impute,
     soft_impute_fit,
     svt,
@@ -167,12 +169,12 @@ def scale_violation(dims, spent, bands, p: float, c: float) -> str | None:
 
 
 def svt_violation(m: np.ndarray, theta: float) -> str | None:
-    """The step the fit takes at m's size (dense SVD or Gram eigh) matches the
-    dense SVT within 1e-10 of max(1, sigma_1), and its shrunk singular values
-    sum to the nuclear norm within d times that."""
+    """The exact step the fit takes at m's size (dense SVD or Gram eigh)
+    matches the dense SVT within 1e-10 of max(1, sigma_1), and its shrunk
+    singular values sum to the nuclear norm within d times that."""
     sigma = np.linalg.svd(m, compute_uv=False)
     tol = 1e-10 * max(1.0, float(sigma[0]))
-    out, shrunk = _svt_step(m, theta)
+    out, shrunk, _ = _svt_step(m, theta)
     err = float(np.max(np.abs(out - svt(m, theta))))
     if err > tol:
         return f"the fit's SVT step differs from the dense SVT by {err:.3g}"
@@ -189,11 +191,22 @@ def fit_violation(est, train, spec: MatrixSpec, cfg: EstimatorConfig) -> str | N
 
     Both stop before ``cfg.max_iters``, agree within 1e-8 relative, and the
     fit takes fewer steps whenever the plain loop took 100 or more (below
-    that a dropped momentum step can cost the fit a few more).
+    that a dropped momentum step can cost the fit a few more). Above
+    ``_DENSE_MAX_DIM``, where the fit takes inexact steps, it exits at the
+    exact iteration's fixed point: one plain step of the dense SVT from
+    the filled estimate moves it by less than ``cfg.tol`` relative.
     """
     z, plain_steps = plain_soft_impute(train, spec, cfg)
     if not est.converged or plain_steps >= cfg.max_iters:
         return f"no convergence: the fit took {est.iterations} steps, the plain loop {plain_steps}"
+    d = spec.dim
+    if d > _DENSE_MAX_DIM:
+        filled = est.values.copy()
+        filled.put(train.cells, train.values)
+        step = svt(filled, d * lambda_for(d, len(train), spec.bound, cfg.lambda_scale))
+        move = float(np.linalg.norm(step - est.values)) / max(float(np.linalg.norm(est.values)), 1.0)
+        if move >= cfg.tol:
+            return f"one exact step from the fit's exit moves it by {move:.3g} relative, not below tol {cfg.tol:g}"
     err = float(np.linalg.norm(est.values - z)) / max(float(np.linalg.norm(z)), 1.0)
     if err > 1e-8:
         return f"the fit differs from the plain loop's fixed point by {err:.3g} relative"

@@ -238,11 +238,89 @@ class TestAcceleratedFit:
     # Near the tol floor the objective is flat to rounding; this input
     # loses the fit its lead if it drops momentum steps on such rises.
     @example(d=37, share=0.75, rank=3, seed=31240)
+    # Here the exit step fails the first time: the subspace steps alone
+    # stop where one exact step moves the iterate by 6e-11.
+    @example(d=17, share=0.77, rank=10, seed=31787)
     def test_fixed_point_matches_plain_loop(self, d, share, rank, seed):
         spec, _, data = sampled(d, max(1, int(share * d * d)), min(rank, d), seed)
         assume(len(data) > 0)
         cfg = EstimatorConfig(max_iters=20000, tol=1e-11)
         assert fit_violation(soft_impute_fit(data, spec, cfg), data, spec, cfg) is None
+
+
+def recorded_steps(monkeypatch):
+    """Wrap the fit's SVT step; each step appends (width of its basis, or
+    None for an exact step, its kept rank, its output) to the returned list."""
+    step, steps = estimators._svt_step, []
+
+    def recorded(m, theta, basis=None):
+        out, shrunk, next_basis = step(m, theta, basis)
+        steps.append((None if basis is None else basis.shape[1], np.count_nonzero(shrunk), out))
+        return out, shrunk, next_basis
+
+    monkeypatch.setattr(estimators, "_svt_step", recorded)
+    return steps
+
+
+class TestSubspaceRoute:
+    """The fallbacks of the fit's subspace steps above ``_DENSE_MAX_DIM``."""
+
+    cfg = EstimatorConfig(max_iters=20000, tol=1e-11)
+
+    def test_nearly_full_basis_reseeds_by_an_exact_step(self, monkeypatch):
+        # With a margin of two, a subspace step that keeps as many
+        # directions as the exact step before it keeps all but two of its basis.
+        monkeypatch.setattr(estimators, "_MARGIN", 2)
+        steps = recorded_steps(monkeypatch)
+        spec, _, data = sampled(30, 300, 3)
+        est = soft_impute_fit(data, spec, self.cfg)
+        assert fit_violation(est, data, spec, self.cfg) is None
+        # Before the exit, every exact step but the first follows a subspace
+        # step that kept width - 2 or more, and seeds the next one kept + 2 wide.
+        last = max(i for i, (width, _, _) in enumerate(steps) if width is not None)
+        reseeds = [i for i in range(1, last) if steps[i][0] is None]
+        assert len(reseeds) > 1
+        for i in reseeds:
+            width, kept, _ = steps[i - 1]
+            assert width is not None and kept >= width - 2
+            assert steps[i + 1][0] in (None, steps[i][1] + 2)
+
+    def test_rising_subspace_step_is_redone_exactly(self, monkeypatch):
+        # The second and third steps land far from the data. The second,
+        # a momentum step, is dropped; the third, a plain subspace step, is
+        # redone by an exact step, and the fit goes on to its fixed point.
+        step, bases = estimators._svt_step, []
+
+        def pushed(m, theta, basis=None):
+            z, shrunk, next_basis = step(m, theta, basis)
+            bases.append(basis)
+            return (z + 1e3 if len(bases) in (2, 3) else z), shrunk, next_basis
+
+        monkeypatch.setattr(estimators, "_svt_step", pushed)
+        spec, _, data = sampled(30, 300, 3)
+        est = soft_impute_fit(data, spec, self.cfg)
+        assert [basis is None for basis in bases[:5]] == [True, False, False, True, False]
+        assert fit_violation(est, data, spec, self.cfg) is None
+
+    def test_failed_exit_check_continues_with_exact_steps(self, monkeypatch):
+        # Subspace steps that shrink their output by 1e-6 stop short of the
+        # fixed point, so the exit step moves the iterate by more than tol.
+        subspace = estimators._subspace_svt
+
+        def short(m, theta, basis):
+            out, shrunk, next_basis = subspace(m, theta, basis)
+            return out * (1.0 - 1e-6), shrunk * (1.0 - 1e-6), next_basis
+
+        monkeypatch.setattr(estimators, "_subspace_svt", short)
+        steps = recorded_steps(monkeypatch)
+        spec, _, data = sampled(30, 300, 3)
+        est = soft_impute_fit(data, spec, self.cfg)
+        last = max(i for i, (width, _, _) in enumerate(steps) if width is not None)
+        exit_out, before = steps[last + 1][2], steps[last][2]
+        assert np.linalg.norm(exit_out - before) >= self.cfg.tol * np.linalg.norm(before)
+        # The fit goes on with exact steps alone, and stops at the fixed point.
+        assert len(steps) > last + 2 and est.iterations == len(steps)
+        assert fit_violation(est, data, spec, self.cfg) is None
 
 
 class TestSoftImpute:
@@ -311,19 +389,21 @@ class TestSoftImpute:
 
     def test_rising_plain_step_raises(self, monkeypatch):
         # Every step after the first lands far from the data, so the
-        # momentum step is dropped and the plain step after it still rises.
+        # momentum step is dropped, the plain subspace step after it is
+        # redone exactly, and that exact plain step still rises.
         spec, _, data = sampled(20, 200, 2)
         exact = estimators._svt_step
-        calls = []
+        bases = []
 
-        def rising(m, theta):
-            z, shrunk = exact(m, theta)
-            calls.append(theta)
-            return (z if len(calls) == 1 else z + 1e3), shrunk
+        def rising(m, theta, basis=None):
+            z, shrunk, next_basis = exact(m, theta, basis)
+            bases.append(basis)
+            return (z if len(bases) == 1 else z + 1e3), shrunk, next_basis
 
         monkeypatch.setattr(estimators, "_svt_step", rising)
-        with pytest.raises(AssertionError, match="objective increased at iteration 3"):
+        with pytest.raises(AssertionError, match="objective increased at iteration 4"):
             soft_impute_fit(data, spec, EstimatorConfig())
+        assert [basis is None for basis in bases] == [True, False, False, True]
 
     def test_more_data_helps(self):
         # Median error over 20 seeds shrinks when the training set

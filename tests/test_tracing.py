@@ -106,7 +106,7 @@ def test_traced_run_keeps_tracer_contract(tracing, tmp_path):
 
 
 # One d on each side of the size at which the fit's SVT step switches
-# from the dense SVD to the Gram route.
+# from the dense SVD to the Gram and subspace steps.
 @pytest.mark.parametrize("d", [estimators._DENSE_MAX_DIM, estimators._DENSE_MAX_DIM + 1])
 def test_svd_calls_are_fit_iterations(monkeypatch, d):
     # The tracer reads a fit's iterations as its np.linalg.svd calls, so
@@ -117,22 +117,25 @@ def test_svd_calls_are_fit_iterations(monkeypatch, d):
     draws = new_samples(generate_ground_truth(spec, 5), 0.1, d * d // 2, named_stream(5, d))
     train = split_dataset(draws)[0]
     svd, step = numpy.linalg.svd, estimators._svt_step
-    svd_calls, steps = [], []
+    svd_calls, exact_steps = [], []
 
     def counted_svd(*args, **kwargs):
         svd_calls.append(args[0].shape)
         return svd(*args, **kwargs)
 
-    def pushed_step(m, theta):
-        z, shrunk = step(m, theta)
-        steps.append(theta)
-        return (z + 1e3 if len(steps) == 2 else z), shrunk
+    def pushed_step(m, theta, basis=None):
+        z, shrunk, next_basis = step(m, theta, basis)
+        exact_steps.append(basis is None)
+        return (z + 1e3 if len(exact_steps) == 2 else z), shrunk, next_basis
 
     monkeypatch.setattr(numpy.linalg, "svd", counted_svd)
     monkeypatch.setattr(estimators, "_svt_step", pushed_step)
     est = soft_impute_fit(train, spec, EstimatorConfig())
     assert est.converged and est.iterations > 2
-    assert len(svd_calls) == len(steps) == est.iterations
-    # The dense route decomposes m itself, the Gram route m times the kept directions.
+    assert len(svd_calls) == len(exact_steps) == est.iterations
+    # The dense route decomposes m itself; the Gram route m times the kept
+    # directions, and the subspace step m projected onto fewer than d.
     dense = d <= estimators._DENSE_MAX_DIM
     assert all((shape == (d, d)) == dense for shape in svd_calls)
+    # Above the switch, subspace steps run between an exact first and last step.
+    assert exact_steps[0] and exact_steps[-1] and all(exact_steps) == dense
